@@ -1,8 +1,7 @@
-"""Pure-numpy fallback for the coin-step evolution kernel.
+"""The coin-step evolution kernel, vectorised over sites with numpy.
 
 One walk step is shift∘coin: the 2x2 coin acts on every occupied spinor,
-then component 0 hops one site right and component 1 one site left.  The
-compiled twin ``qwlab._step_kernel`` implements the identical contract.
+then component 0 hops one site right and component 1 one site left.
 """
 
 import numpy as np

@@ -50,8 +50,8 @@ def _parse_phi(args) -> np.ndarray:
     re1, im1, re2, im2 = _parse_floats(args.phi, 4, "--phi")
     phi = np.array([complex(re1, im1), complex(re2, im2)])
     norm = np.linalg.norm(phi)
-    if norm == 0:
-        raise ValueError("--phi must be nonzero")
+    if not 0 < norm < np.inf:
+        raise ValueError("--phi must be finite and nonzero")
     return phi / norm  # normalized on behalf of the caller
 
 

@@ -7,15 +7,16 @@ density
     sigma(x) = |b| (1 + lambda x) / (pi (1 - x^2) sqrt(|a|^2 - x^2)),  |x| < |a|,
 
 where lambda depends on the coin and the spinor.  The density carries
-inverse-square-root singularities at +-|a|; the CDF is computed through the
-substitution x = |a| sin t, which makes the integrand smooth and bounded.
+inverse-square-root singularities at +-|a|; the CDF is its closed-form
+antiderivative, and adaptive quadrature in the substituted variable
+x = |a| sin t, where the integrand is smooth and bounded, is kept as its
+oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .walk import CoinParams, InitialState, _check_spinor
 
@@ -26,18 +27,21 @@ def lambda_c(coin: CoinParams, phi) -> float:
     """Asymmetry weight lambda of the limiting density.
 
     lambda = |phi_1|^2 - |phi_2|^2
-             - (conj(a) b conj(phi_1) phi_2 + a conj(b) phi_1 conj(phi_2)) / |a|^2.
+             + (conj(a) b conj(phi_1) phi_2 + a conj(b) phi_1 conj(phi_2)) / |a|^2.
 
     Oriented so that positive lambda tilts the limit law toward +infinity,
     matching a walk whose first spinor component hops right: phi = (1, 0)
-    gives lambda = +1 and phi = (0, 1) gives lambda = -1.  The expression is
+    gives lambda = +1 and phi = (0, 1) gives lambda = -1.  Konno's nu,
+    mirrored into this convention, carries the cross term with a plus sign;
+    for the Hadamard coin phi = (1, 1)/sqrt(2) then gives lambda = +1, the
+    drift of the walk toward +infinity.  The expression is
     manifestly real; the imaginary residue is checked to be below 1e-14 and
     discarded.
     """
     phi = _check_spinor(phi)
     a, b = coin.a, coin.b
     cross = np.conj(a) * b * np.conj(phi[0]) * phi[1]
-    val = abs(phi[0]) ** 2 - abs(phi[1]) ** 2 - (cross + np.conj(cross)) / abs(a) ** 2
+    val = abs(phi[0]) ** 2 - abs(phi[1]) ** 2 + (cross + np.conj(cross)) / abs(a) ** 2
     if abs(val.imag) > 1e-14:
         raise ValueError("lambda has a non-real residue; inputs are inconsistent")
     return float(val.real)
@@ -46,14 +50,13 @@ def lambda_c(coin: CoinParams, phi) -> float:
 class KonnoCDF:
     """Limiting CDF F_V of X_n/n with its density and edge asymptotics.
 
-    The CDF cache is built eagerly at construction: panelwise Gauss-Legendre
-    cumulative integrals in the substituted variable t (x = |a| sin t), on a
-    grid refined until a monotone cubic interpolant reproduces direct
-    adaptive quadrature to 1e-9 at probe points.   Instances are immutable
-    and safe to share; evaluation accepts scalars or arrays.
+    The CDF is the closed-form antiderivative of the density (see ``cdf``);
+    ``cdf_exact`` integrates the density by adaptive quadrature as its
+    oracle.  Instances are immutable and safe to share; evaluation accepts
+    scalars or arrays.
     """
 
-    def __init__(self, coin: CoinParams, phi, cache_tol: float = 1e-9):
+    def __init__(self, coin: CoinParams, phi):
         self.coin = coin
         self.phi = _check_spinor(phi)
         self.lambda_c = lambda_c(coin, phi)
@@ -64,7 +67,6 @@ class KonnoCDF:
         if abs(self.lambda_c) > 1.0 / self.abs_a + 1e-12:
             raise ValueError("|lambda| exceeds 1/|a|; density would be negative")
         self.support = (-self.abs_a, self.abs_a)
-        self._build_cache(cache_tol)
 
     # -- density ---------------------------------------------------------
 
@@ -97,42 +99,21 @@ class KonnoCDF:
 
     # -- CDF -------------------------------------------------------------
 
-    def _build_cache(self, cache_tol: float):
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        panels = 1024
-        while True:
-            t_edges = np.linspace(-_HALF_PI, _HALF_PI, panels + 1)
-            h = t_edges[1] - t_edges[0]
-            mid = 0.5 * (t_edges[:-1] + t_edges[1:])
-            pts = mid[:, None] + 0.5 * h * nodes[None, :]
-            vals = self._integrand_t(pts) @ weights * (0.5 * h)
-            cum = np.concatenate(([0.0], np.cumsum(vals)))
-            interp = PchipInterpolator(t_edges, cum)
-            # interpolation error peaks mid-cell and is largest where the
-            # integrand bends hardest, i.e. toward the edges: probe a
-            # stride plus the outermost cells on both sides
-            probes = np.unique(
-                np.concatenate([mid[:: max(1, panels // 64)], mid[:12], mid[-12:]])
-            )
-            direct = np.array([self._cdf_exact_t(t) for t in probes])
-            err = np.max(np.abs(interp(probes) - direct))
-            if err < cache_tol or panels >= 2**14:
-                break
-            panels *= 2
-        if abs(cum[-1] - 1.0) > 1e-10:
-            raise ValueError("density failed to integrate to 1")
-        self._interp = interp
-        self._total = float(cum[-1])
-
-    def _cdf_exact_t(self, t: float) -> float:
-        val, _ = quad(self._integrand_t, -_HALF_PI, t, epsabs=1e-13, epsrel=1e-13)
-        return val
-
     def cdf(self, x):
-        """F_V(x); exact 0 below -|a| and 1 above |a|."""
+        """F_V(x); exact 0 below -|a| and 1 above |a|.
+
+        With u = sqrt(|a|^2 - x^2) the antiderivative of sigma is
+
+            F(x) = 1/2 + (atan2(|b| x, u) - lambda atan2(u, |b|)) / pi,
+
+        which is 0 at -|a| and 1 at |a| for every lambda.
+        """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.arcsin(np.clip(xs / self.abs_a, -1.0, 1.0))
-        out = self._interp(t)
+        xc = np.clip(xs, -self.abs_a, self.abs_a)
+        u = np.sqrt((self.abs_a - xc) * (self.abs_a + xc))
+        out = 0.5 + (
+            np.arctan2(self.abs_b * xc, u) - self.lambda_c * np.arctan2(u, self.abs_b)
+        ) / np.pi
         out[xs <= -self.abs_a] = 0.0
         out[xs >= self.abs_a] = 1.0
         return out if np.ndim(x) else float(out[0])
@@ -140,12 +121,14 @@ class KonnoCDF:
     __call__ = cdf
 
     def cdf_exact(self, x: float) -> float:
-        """Direct adaptive quadrature, bypassing the cache (for validation)."""
+        """F_V(x) by adaptive quadrature of the density in t, the oracle for ``cdf``."""
         if x <= -self.abs_a:
             return 0.0
         if x >= self.abs_a:
             return 1.0
-        return self._cdf_exact_t(float(np.arcsin(x / self.abs_a)))
+        t = float(np.arcsin(x / self.abs_a))
+        val, _ = quad(self._integrand_t, -_HALF_PI, t, epsabs=1e-13, epsrel=1e-13)
+        return val
 
     # -- characteristic function -----------------------------------------
 

@@ -5,9 +5,8 @@ on-site spinor, after which the first spinor component hops one site to the
 right and the second one site to the left.  States are dense complex arrays
 over the light cone, so evolving n steps costs O(n^2) multiply-adds total.
 
-The inner loop lives in a compiled extension when available and falls back
-to a vectorised numpy twin otherwise; ``KERNEL_BACKEND`` records which one
-was picked at import time.
+The inner loop is the vectorised numpy kernel ``qwlab._step_numpy``;
+``KERNEL_BACKEND`` names it in provenance records.
 """
 
 from __future__ import annotations
@@ -16,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from . import _step_kernel as _kernel
+from . import _step_numpy as _kernel
 
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on the build environment
-    from . import _step_numpy as _kernel
-
-    KERNEL_BACKEND = "numpy"
+KERNEL_BACKEND = "numpy"
 
 _UNIT_ATOL = 1e-12
 
@@ -32,9 +26,10 @@ _UNIT_ATOL = 1e-12
 class CoinParams:
     """Unitary coin C = e^{i theta} [[a, b], [-conj(b), conj(a)]].
 
-    Requires |a|^2 + |b|^2 = 1 (within 1e-12) and both entries nonzero;
-    coins with a vanishing entry degenerate to a free shift or a period-2
-    oscillator and are excluded.
+    Requires |a|^2 + |b|^2 = 1 (within 1e-12), both entries nonzero and a
+    finite theta; coins with a vanishing entry degenerate to a free shift or
+    a period-2 oscillator and are excluded.  Every check accepts only what
+    it can confirm, so NaN fails it.
     """
 
     a: complex
@@ -43,8 +38,10 @@ class CoinParams:
 
     def __post_init__(self):
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > _UNIT_ATOL:
+        if not abs(norm - 1.0) <= _UNIT_ATOL:
             raise ValueError(f"coin entries must satisfy |a|^2+|b|^2=1, got {norm!r}")
+        if not np.isfinite(self.theta):
+            raise ValueError(f"coin phase theta must be finite, got {self.theta!r}")
         if self.a == 0 or self.b == 0:
             raise ValueError("coin entries a and b must both be nonzero")
 
@@ -75,8 +72,8 @@ def _check_spinor(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (2,):
         raise ValueError("spinor must be a complex 2-vector")
-    if abs(np.vdot(phi, phi).real - 1.0) > _UNIT_ATOL:
-        raise ValueError("spinor must have unit norm")
+    if not abs(np.vdot(phi, phi).real - 1.0) <= _UNIT_ATOL:
+        raise ValueError("spinor must have finite entries and unit norm")
     return phi
 
 
@@ -94,11 +91,11 @@ class InitialState:
         cleaned = []
         total = 0.0
         for site, phi, w in self.entries:
-            if w <= 0 or w > 1:
+            if not 0 < w <= 1:
                 raise ValueError("weights must lie in (0, 1]")
             cleaned.append((int(site), _check_spinor(phi), float(w)))
             total += w
-        if abs(total - 1.0) > _UNIT_ATOL:
+        if not abs(total - 1.0) <= _UNIT_ATOL:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "entries", tuple(cleaned))
 
@@ -164,8 +161,8 @@ class PositionDistribution:
     def __post_init__(self):
         # Roundoff drift grows with the step count; 1e-11 covers 1e4 steps.
         total = float(np.sum(self.probs))
-        if np.any(self.probs < -1e-15) or abs(total - 1.0) > 1e-11:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if not (np.all(self.probs >= -1e-15) and abs(total - 1.0) <= 1e-11):
+            raise ValueError("probabilities must be finite, nonnegative and sum to 1")
 
     def sites(self) -> np.ndarray:
         return self.offset + np.arange(len(self.probs))
@@ -259,11 +256,11 @@ class StepCDF:
         cu = np.asarray(cumulative, dtype=float)
         if jp.ndim != 1 or jp.shape != cu.shape or len(jp) == 0:
             raise ValueError("jump points and cumulative values must match")
-        if np.any(np.diff(jp) <= 0):
-            raise ValueError("jump points must be strictly increasing")
-        if np.any(np.diff(cu) < 0):
+        if not (np.all(np.isfinite(jp)) and np.all(np.diff(jp) > 0)):
+            raise ValueError("jump points must be finite and strictly increasing")
+        if not np.all(np.diff(cu) >= 0):
             raise ValueError("cumulative values must be nondecreasing")
-        if abs(cu[-1] - 1.0) > _UNIT_ATOL:
+        if not abs(cu[-1] - 1.0) <= _UNIT_ATOL:
             raise ValueError("cumulative values must end at 1")
         self.jump_points = jp
         self.cumulative = cu
@@ -292,13 +289,15 @@ def rescaled_cdf(dist: PositionDistribution) -> StepCDF:
     """CDF of the ballistically rescaled position X_n / n.
 
     Jump points sit at k/n for every occupied site k; the cumulative values
-    are the running sums of p_n.  Rejects n = 0, where no rescaling exists.
+    are the running sums of p_n, clamped at 1 so that a total overshooting 1
+    by roundoff stays nondecreasing.  Rejects n = 0, where no rescaling
+    exists.
     """
     if dist.n < 1:
         raise ValueError("rescaling requires n >= 1")
     mask = dist.probs > 0
     sites = dist.sites()[mask]
-    cum = np.cumsum(dist.probs[mask])
+    cum = np.minimum(np.cumsum(dist.probs[mask]), 1.0)
     if abs(cum[-1] - 1.0) <= 1e-11:
         cum[-1] = 1.0  # absorb accumulated roundoff into the final jump
     return StepCDF(sites / dist.n, cum)

@@ -1,11 +1,11 @@
 """Airy evaluation and the wavefront structure of coin-step walks.
 
 Near the ballistic fronts at sites +- n|a| the transition probabilities
-follow an Airy-squared profile on the n^{1/3} scale; this module provides a
-self-contained Ai(x) evaluator (Maclaurin series in the middle, asymptotic
-expansions at both ends), the leading-order wavefront approximation of p_n,
-scaled tail masses at the fronts, and the oscillatory-sum experiments that
-probe the cancellation rates behind the n^{-1/3} convergence.
+follow an Airy-squared profile on the n^{1/3} scale; this module provides
+Ai(x) on a checked range (from scipy), the leading-order wavefront
+approximation of p_n, scaled tail masses at the fronts, and the
+oscillatory-sum experiments that probe the cancellation rates behind the
+n^{-1/3} convergence.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .konno import lambda_c
 from .walk import CoinParams, PositionDistribution, _check_spinor
@@ -26,85 +27,16 @@ class WindowViolation(Exception):
     """Wavefront offset outside the O(n^{1/3}) validity window."""
 
 
-_AI0 = 0.35502805388781723926  # Ai(0)  = 3^{-2/3} / Gamma(2/3)
-_AIP0 = -0.25881940379280679840  # Ai'(0) = -3^{-1/3} / Gamma(1/3)
-
-# Poincare coefficients u_k of the Airy asymptotic expansions,
-# u_0 = 1, u_{k+1} = u_k (6k+1)(6k+5) / (72(k+1)).
-_U = [1.0]
-for _k in range(24):
-    _U.append(_U[-1] * (6 * _k + 1) * (6 * _k + 5) / (72.0 * (_k + 1)))
-_U = np.array(_U)
-
-_SERIES_LO = -7.5  # series cancellation stays ~e^{|x|} eps above here
-_SERIES_HI = 5.5  # asymptotic truncation error crosses ~1e-12 here
-
-
-def _airy_series(x: np.ndarray) -> np.ndarray:
-    """Maclaurin solution of y'' = xy, accurate on (-7.5, 5.5)."""
-    f = np.ones_like(x)
-    g = x.copy()
-    tf = np.ones_like(x)
-    tg = x.copy()
-    x3 = x * x * x
-    k = 0
-    while True:
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        k += 1
-        if k > 6 and max(np.abs(tf).max(initial=0), np.abs(tg).max(initial=0)) < 1e-21:
-            break
-    return _AI0 * f + _AIP0 * g
-
-
-def _airy_asymptotic_pos(x: np.ndarray) -> np.ndarray:
-    """Exponentially decaying expansion, x >= 5.5."""
-    zeta = (2.0 / 3.0) * x**1.5
-    # Horner form of sum_{k=0}^{20} (-1)^k u_k zeta^{-k}
-    s = np.zeros_like(x)
-    for k in range(20, -1, -1):
-        s = _U[k] - s / zeta
-    return np.exp(-zeta) * s / (2.0 * np.sqrt(np.pi) * x**0.25)
-
-
-def _airy_asymptotic_neg(x: np.ndarray) -> np.ndarray:
-    """Oscillatory expansion, x <= -7.5."""
-    z = -x
-    xi = (2.0 / 3.0) * z**1.5
-    xi2 = xi * xi
-    # Horner forms of sum (-1)^k u_{2k} xi^{-2k} and sum (-1)^k u_{2k+1} xi^{-2k-1}
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    for k in range(10, -1, -1):
-        p = _U[2 * k] - p / xi2
-        q = _U[2 * k + 1] - q / xi2
-    q = q / xi
-    phase = xi - 0.25 * np.pi
-    return (np.cos(phase) * p + np.sin(phase) * q) / (np.sqrt(np.pi) * z**0.25)
-
-
 def airy(x):
-    """Airy function Ai(x) on [-100, 20], absolute error below 1e-10.
+    """Airy function Ai(x) on [-100, 20], evaluated by ``scipy.special.airy``.
 
-    Maclaurin series on (-7.5, 5.5), asymptotic expansions beyond; the switch
-    points keep both the series cancellation and the expansion truncation
-    under ~1e-11, which the test suite checks against a 40-digit oracle.
+    Arguments outside the interval raise OutOfSupportedRange; the test suite
+    checks the values against a 40-digit oracle.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < -100.0) or np.any(xs > 20.0):
         raise OutOfSupportedRange("airy() is validated on [-100, 20] only")
-    out = np.empty_like(xs)
-    m_neg = xs <= _SERIES_LO
-    m_pos = xs >= _SERIES_HI
-    m_mid = ~(m_neg | m_pos)
-    if m_mid.any():
-        out[m_mid] = _airy_series(xs[m_mid])
-    if m_pos.any():
-        out[m_pos] = _airy_asymptotic_pos(xs[m_pos])
-    if m_neg.any():
-        out[m_neg] = _airy_asymptotic_neg(xs[m_neg])
+    out = special.airy(xs)[0]
     return out if np.ndim(x) else float(out[0])
 
 

@@ -141,6 +141,14 @@ class TestCLI:
         assert cli_main(["simulate", "--coin", "0.9,0,0.9,0,0"]) == 2
         capsys.readouterr()
 
+    def test_nan_coin_exits_2(self, capsys):
+        assert cli_main(["simulate", "--coin", "nan,0,nan,0,0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nan_phi_exits_2(self, capsys):
+        assert cli_main(["simulate", "--phi", "nan,0,0,0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_limit_table(self, capsys):
         code = cli_main(["limit", "--preset", "hadamard", "--phi", "1,0,0,0", "--grid", "7"])
         out = capsys.readouterr().out

@@ -12,6 +12,8 @@ from qwlab.walk import CoinParams, InitialState, hadamard_coin
 SQ2 = np.sqrt(2.0)
 E1 = np.array([1.0, 0.0], dtype=complex)
 SYM = np.array([1.0, 1j]) / SQ2
+# a spinor with a nonzero cross term in lambda for both coins below
+GENERIC = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.9j)])
 
 # an asymmetric non-Hadamard coin used across edge tests
 OTHER_COIN = CoinParams(
@@ -45,18 +47,24 @@ class TestLambda:
         assert lambda_c(coin, SYM) == pytest.approx(0.0, abs=1e-14)
         assert lambda_c(coin, [0, 1]) == pytest.approx(-1.0, abs=1e-14)
 
-    def test_matches_walk_drift(self):
+    @pytest.mark.parametrize(
+        "phi",
+        [E1, np.array([1.0, 1.0]) / SQ2, GENERIC],
+        ids=["e1", "diag", "generic"],
+    )
+    def test_matches_walk_drift(self, phi):
         # the sign convention is pinned by the dynamics: phi = (1, 0) drifts
-        # toward +infinity under shift(right) o coin
+        # toward +infinity under shift(right) o coin, and the cross term of
+        # lambda moves the mean of the other two spinors the same way
         coin = hadamard_coin()
-        d = qwlab.distribution(coin, InitialState.pure(E1), 400)
+        d = qwlab.distribution(coin, InitialState.pure(phi), 400)
         mean = float(np.sum(d.sites() * d.probs)) / 400
-        kc = KonnoCDF(coin, E1)
+        kc = KonnoCDF(coin, phi)
         limit_mean = quad(
             lambda x: x * kc.density(x), -kc.abs_a, kc.abs_a, points=[0.0], limit=200
         )[0]
         assert mean == pytest.approx(limit_mean, abs=2e-3)
-        assert lambda_c(coin, E1) > 0 and limit_mean > 0
+        assert lambda_c(coin, phi) > 0 and limit_mean > 0
 
     @settings(max_examples=40, deadline=None)
     @given(coin=coins(), phi=spinors())
@@ -109,9 +117,17 @@ class TestCDF:
         assert kc.cdf(0.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_cache_matches_direct_quadrature(self):
-        kc = KonnoCDF(hadamard_coin(), E1)
-        for x in (-0.70, -0.5, -0.1, 0.33, 0.699, 0.707):
-            assert kc.cdf(x) == pytest.approx(kc.cdf_exact(x), abs=1e-9)
+        # the closed-form CDF against adaptive quadrature of the density
+        for coin, phi in [
+            (hadamard_coin(), E1),
+            (hadamard_coin(), GENERIC),
+            (OTHER_COIN, E1),
+            (OTHER_COIN, GENERIC),
+        ]:
+            kc = KonnoCDF(coin, phi)
+            a = kc.abs_a
+            for x in (-0.70, -0.5, -0.1, 0.33, 0.699, 0.707, -a + 1e-9, a - 1e-9):
+                assert kc.cdf(x) == pytest.approx(kc.cdf_exact(x), abs=1e-9)
 
     def test_monotone(self):
         kc = KonnoCDF(OTHER_COIN, E1)
@@ -163,7 +179,7 @@ class TestEdge:
         # vanishes at the left edge
         coin = hadamard_coin()
         t = 0.5 * np.arctan2(coin.abs_b / coin.abs_a, -1.0)
-        chi = -np.angle(np.conj(coin.a) * coin.b)
+        chi = np.pi - np.angle(np.conj(coin.a) * coin.b)
         phi = np.array([np.cos(t), np.sin(t) * np.exp(1j * chi)])
         lam = lambda_c(coin, phi)
         assert abs(lam) == pytest.approx(1.0 / coin.abs_a, abs=1e-12)

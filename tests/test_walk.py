@@ -8,6 +8,7 @@ from qwlab import spectral
 from qwlab.walk import (
     CoinParams,
     InitialState,
+    PositionDistribution,
     StepCDF,
     WalkState,
     distribution,
@@ -65,6 +66,42 @@ class TestCoinParams:
             CoinParams(a=1.0, b=0.0)
         with pytest.raises(ValueError):
             CoinParams(a=0.0, b=1.0)
+
+
+class TestNonFinite:
+    """Every validator accepts only finite values within tolerance."""
+
+    def test_coin_params(self):
+        with pytest.raises(ValueError):
+            CoinParams(a=np.nan, b=np.nan)
+        with pytest.raises(ValueError):
+            CoinParams(a=complex(np.nan, 0.0), b=1.0)
+        with pytest.raises(ValueError):
+            CoinParams(a=SQ2 / 2, b=SQ2 / 2, theta=np.nan)
+        with pytest.raises(ValueError):
+            CoinParams(a=SQ2 / 2, b=SQ2 / 2, theta=np.inf)
+
+    def test_spinor(self):
+        for phi in ([np.nan, 0.0], [1.0, np.nan], [complex(0, np.nan), 1.0], [np.inf, 0]):
+            with pytest.raises(ValueError):
+                WalkState.from_spinor(phi)
+
+    def test_initial_state_weights(self):
+        phi = np.array([1.0, 0.0])
+        with pytest.raises(ValueError):
+            InitialState(((0, phi, np.nan),))
+        with pytest.raises(ValueError):
+            InitialState(((0, phi, 0.5), (1, phi, np.nan)))
+        with pytest.raises(ValueError):
+            InitialState(((0, [np.nan, 0.0], 1.0),))
+
+    def test_position_distribution(self):
+        with pytest.raises(ValueError):
+            PositionDistribution(offset=0, probs=np.array([0.5, np.nan, 0.5]), n=1)
+        with pytest.raises(ValueError):
+            PositionDistribution(offset=0, probs=np.array([np.nan]), n=0)
+        with pytest.raises(ValueError):
+            PositionDistribution(offset=0, probs=np.array([np.inf, 0.0]), n=1)
 
 
 class TestInitialState:
@@ -172,24 +209,6 @@ class TestEvolution:
             for k in single.sites():
                 assert snaps[n].prob_at(k) == single.prob_at(k)
 
-    def test_kernel_backends_agree(self):
-        pytest.importorskip("qwlab._step_kernel")
-        from qwlab import _step_kernel, _step_numpy
-
-        rng = np.random.default_rng(7)
-        coin = hadamard_coin().matrix()
-        L = 2 * 100 + 3
-        amps = np.zeros((2, L), dtype=np.complex128)
-        amps[:, 101] = [0.6, 0.8j]
-        a1, a2 = amps.copy(), amps.copy()
-        lo1 = hi1 = lo2 = hi2 = 101
-        lo1, hi1 = _step_kernel.evolve_steps(a1, coin, 100, lo1, hi1)
-        lo2, hi2 = _step_numpy.evolve_steps(a2, coin, 100, lo2, hi2)
-        assert (lo1, hi1) == (lo2, hi2)
-        # compilers may fuse the multiply-adds differently; only bit-level
-        # rounding in the last places is tolerated
-        assert np.max(np.abs(a1 - a2)) < 1e-13
-
     def test_kernel_buffer_guard(self):
         from qwlab import _step_numpy
 
@@ -226,6 +245,22 @@ class TestStepCDF:
         with pytest.raises(ValueError):
             rescaled_cdf(d)
 
+    def test_generic_coin_overshoot(self):
+        # a generic coin whose running sum of p_n passes 1 by roundoff a few
+        # sites before the right edge; snapping only the last value to 1
+        # would leave the CDF decreasing there
+        tau = 0.7
+        coin = CoinParams(
+            a=np.cos(tau) * np.exp(0.3j), b=np.sin(tau) * np.exp(-0.5j), theta=0.2
+        )
+        d = distribution(coin, InitialState.pure([1, 0]), 64)
+        assert np.cumsum(d.probs)[-1] != 1.0
+        assert np.max(np.cumsum(d.probs)) > 1.0
+        cdf = rescaled_cdf(d)
+        assert np.all(np.diff(cdf.cumulative) >= 0.0)
+        assert cdf.cumulative[-1] == 1.0
+        assert np.max(np.abs(cdf.jump_masses() - d.probs[d.probs > 0])) < 1e-14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StepCDF([0.0, 0.0], [0.5, 1.0])
@@ -233,6 +268,12 @@ class TestStepCDF:
             StepCDF([0.0, 1.0], [0.7, 0.5])
         with pytest.raises(ValueError):
             StepCDF([0.0], [0.9])
+        with pytest.raises(ValueError):
+            StepCDF([np.nan], [1.0])
+        with pytest.raises(ValueError):
+            StepCDF([0.0, 1.0], [np.nan, 1.0])
+        with pytest.raises(ValueError):
+            StepCDF([0.0, 1.0], [0.5, np.nan])
 
 
 class TestDumps:

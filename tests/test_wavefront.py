@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import qwlab
-from qwlab import wavefront as wf
 from qwlab.wavefront import (
     OutOfSupportedRange,
     WavefrontApprox,
@@ -47,14 +46,6 @@ class TestAiry:
         vals = airy(xs)
         oracle = np.array([float(mpmath.airyai(mpmath.mpf(float(x)))) for x in xs])
         assert np.max(np.abs(vals - oracle)) < 1e-10
-
-    def test_switch_overlap_agreement(self):
-        a = wf._airy_series(np.array([-7.5]))[0]
-        b = wf._airy_asymptotic_neg(np.array([-7.5]))[0]
-        assert abs(a - b) < 1e-11
-        a = wf._airy_series(np.array([5.5]))[0]
-        b = wf._airy_asymptotic_pos(np.array([5.5]))[0]
-        assert abs(a - b) < 1e-11
 
     def test_far_tail_decay(self):
         assert airy(10.0) < 1e-9
