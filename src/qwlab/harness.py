@@ -130,11 +130,11 @@ def fit_slope(table: RateTable, column: str) -> SlopeFit:
 
 
 def _cached_vector(fn):
-    """Memoize an array->array callable on the identity of the grid."""
+    """Memoize an array->array callable on the exact values of the grid."""
     cache = {}
 
     def wrapped(lams):
-        key = (len(lams), float(lams[0]), float(lams[-1]))
+        key = np.asarray(lams, dtype=float).tobytes()
         if key not in cache:
             cache[key] = fn(lams)
         return cache[key]
@@ -153,8 +153,9 @@ def run_rate_sweep(
 
     For each n: evolve, build the rescaled step CDF, compute Kolmogorov and
     Levy distances to the closed-form limit, evaluate the smoothing bound at
-    slack n^{-1/3}, and record the scaled left-front tail mass.  Tables are
-    never emitted partially: any failure aborts the sweep.
+    slack n^{-1/3} and support radius 1 + max|site| / n (the limit lies
+    within |a| <= 1), and record the scaled left-front tail mass.  Tables
+    are never emitted partially: any failure aborts the sweep.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
@@ -162,6 +163,7 @@ def run_rate_sweep(
     if n_list[-1] > MAX_SWEEP_N:
         raise ValueError(f"sweep step counts capped at {MAX_SWEEP_N}")
 
+    max_site = max(abs(site) for site, _, _ in init.entries)
     limit = konno.limit_cdf(coin, init)
     sg = spectral.derivatives(spectral.decompose(spectral.coin_step_momentum_walk(coin), char_grid))
     char_g = _cached_vector(lambda lams: spectral.char_fn_limit(sg, init, lams))
@@ -176,7 +178,11 @@ def run_rate_sweep(
         lev = metrics.levy(F, limit, tol=tol)
         eps = float(n) ** (-1.0 / 3.0)
         zb = metrics.zolotarev_bound(
-            lambda lams: spectral.char_fn_finite(dist, lams), char_g, eps, zw
+            lambda lams: spectral.char_fn_finite(dist, lams),
+            char_g,
+            eps,
+            zw,
+            radius=1.0 + max_site / n,
         )
         tail = wavefront_mass_lower(dist, coin)
         rows.append(

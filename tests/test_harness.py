@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qwlab
-from qwlab import harness
+from qwlab import harness, metrics
 from qwlab.cli import cli_main
 from qwlab.harness import (
     NonPositiveValue,
@@ -92,6 +92,29 @@ class TestRateTable:
             run_rate_sweep(hadamard_coin(), InitialState.pure(E1), [64, 32])
         with pytest.raises(ValueError):
             run_rate_sweep(hadamard_coin(), InitialState.pure(E1), [16, 2**15])
+
+
+class TestRateSweepBound:
+    def test_cached_vector_keys_on_values(self):
+        square = harness._cached_vector(lambda lams: lams**2)
+        # same length and endpoints, different interior
+        assert square(np.array([0.0, 1.0, 3.0]))[1] == 1.0
+        assert square(np.array([0.0, 2.0, 3.0]))[1] == 4.0
+        assert square(np.array([0.0, 1.0, 3.0]))[1] == 1.0
+
+    def test_sweep_passes_support_radius(self, monkeypatch):
+        radii = []
+        bound = metrics.zolotarev_bound
+
+        def spy(*args, radius=1.0):
+            radii.append(radius)
+            return bound(*args, radius=radius)
+
+        monkeypatch.setattr(metrics, "zolotarev_bound", spy)
+        init = InitialState(((8, E1, 0.5), (-8, E1, 0.5)))
+        table = run_rate_sweep(hadamard_coin(), init, [16, 32])
+        assert radii == [1.5, 1.25]
+        assert np.all(table.column("levy") <= table.column("zolotarev_bound"))
 
 
 class TestBoundBattery:

@@ -184,8 +184,8 @@ class TestEdge:
         lam = lambda_c(coin, phi)
         assert abs(lam) == pytest.approx(1.0 / coin.abs_a, abs=1e-12)
         kc = KonnoCDF(coin, phi if lam > 0 else np.array([phi[1], -phi[0]]).conj())
-        if kc.lambda_c > 0:
-            assert kc.edge_coefficient("left") == pytest.approx(0.0, abs=1e-12)
+        assert kc.lambda_c == pytest.approx(1.0 / coin.abs_a, abs=1e-12)
+        assert kc.edge_coefficient("left") == pytest.approx(0.0, abs=1e-12)
 
     def test_edge_cdf_scaling_slope(self):
         kc = KonnoCDF(hadamard_coin(), E1)

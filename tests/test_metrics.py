@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qwlab
-from qwlab import konno, metrics, spectral
+from qwlab import harness, konno, metrics, spectral
 from qwlab.metrics import (
     ContinuousPairWithoutGrid,
     PreconditionViolation,
@@ -18,7 +18,15 @@ from qwlab.metrics import (
     smooth_region_transfer,
     zolotarev_bound,
 )
-from qwlab.walk import InitialState, StepCDF, distribution, hadamard_coin, rescaled_cdf
+from qwlab.walk import (
+    CoinParams,
+    InitialState,
+    StepCDF,
+    distribution,
+    distribution_snapshots,
+    hadamard_coin,
+    rescaled_cdf,
+)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -274,6 +282,104 @@ class TestZolotarevBound:
         )
         lev = levy(rescaled_cdf(dist), kc)
         assert lev <= bound
+
+
+# The bound as sampled directly: both characteristic functions on 1e4 log
+# points of [1e-4, 1] and 2e3 of (1, 1e5], capped beyond 600.
+_DIRECT_SMALL = np.logspace(-4, 0, 10_000)
+_DIRECT_LARGE = np.logspace(0, 5, 2_001)[1:]
+
+
+def _direct_sup_large(char_f, char_g, lams):
+    d = np.abs(char_f(lams) - char_g(lams))
+    return max(float(np.max(d / lams**2)), 2.0 / 600.0**2)
+
+
+def direct_zolotarev_bound(char_f, char_g, eps, zw):
+    d = np.abs(char_f(_DIRECT_SMALL) - char_g(_DIRECT_SMALL))
+    sup_small = float(np.max(d / _DIRECT_SMALL))
+    sup_large = _direct_sup_large(char_f, char_g, _DIRECT_LARGE)
+    return eps + zw.constant_c / eps**2 * max(sup_small, sup_large)
+
+
+_GENERIC_COIN = CoinParams(np.sqrt(0.3) * np.exp(0.7j), np.sqrt(0.7) * np.exp(-1.1j), 0.4)
+_GENERIC_PHI = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.9j)])
+
+
+@pytest.fixture(scope="module", params=["hadamard", "generic"])
+def oracle_grid(request):
+    coin = hadamard_coin() if request.param == "hadamard" else _GENERIC_COIN
+    walk = spectral.coin_step_momentum_walk(coin)
+    return coin, spectral.derivatives(spectral.decompose(walk, 2**12))
+
+
+class TestInterpolatedZolotarevBound:
+    @pytest.mark.parametrize("phi", [E1, _GENERIC_PHI], ids=["e1", "generic"])
+    def test_matches_direct_sampling(self, oracle_grid, phi):
+        coin, sg = oracle_grid
+        init = InitialState.pure(phi)
+        zw = default_weights()
+        limit = harness._cached_vector(lambda lams: spectral.char_fn_limit(sg, init, lams))
+        for n, dist in distribution_snapshots(coin, init, [128, 1024, 8192]).items():
+            finite = lambda lams: spectral.char_fn_finite(dist, lams)
+            eps = n ** (-1.0 / 3.0)
+            new = zolotarev_bound(finite, limit, eps, zw)
+            direct = direct_zolotarev_bound(finite, limit, eps, zw)
+            assert -1e-9 <= new / direct - 1.0 <= 1e-7, n
+
+    @pytest.mark.parametrize("x", [-1.0, 0.37, 1.0])
+    def test_error_term_covers_interpolation_error(self, x):
+        # delta = e^{i lam x} - 1 = 2i sin(lam x / 2) e^{i lam x / 2}, free of
+        # cancellation, so the data are exact to rounding
+        delta = lambda lams: 2j * np.sin(lams * x / 2) * np.exp(0.5j * lams * x)
+        for grid, fn in (
+            (metrics._SMALL_GRID, lambda lams: delta(lams) / lams),
+            (metrics._LARGE_GRID, delta),
+        ):
+            values, err = metrics._interpolate(fn, grid, 1.0, 1.0)
+            actual = float(np.max(np.abs(values - fn(grid))))
+            assert actual <= err < 1e-11
+
+    def test_samples_the_grid_when_nodes_would_not_be_fewer(self):
+        # radius 4 on (1, 600] needs more Chebyshev points than the 1,111 there
+        fn = lambda lams: np.exp(4j * lams) - 1.0
+        values, err = metrics._interpolate(fn, metrics._LARGE_GRID, 4.0, 1.0)
+        assert err == 0.0
+        assert np.array_equal(values, fn(metrics._LARGE_GRID))
+
+    def test_pruned_grid_gives_the_full_grid_supremum(self):
+        assert metrics._LARGE_GRID.max() <= 600.0 and len(metrics._LARGE_GRID) == 1111
+        coin = hadamard_coin()
+        dist = distribution(coin, InitialState.pure(E1), 128)
+        pairs = [
+            (lambda lams: np.exp(1j * lams), lambda lams: np.exp(-1j * lams)),
+            (lambda lams: spectral.char_fn_finite(dist, lams), lambda lams: np.cos(lams)),
+        ]
+        for f, g in pairs:
+            full = _direct_sup_large(f, g, _DIRECT_LARGE)
+            assert _direct_sup_large(f, g, metrics._LARGE_GRID) == full
+
+    def test_mixture_radius(self):
+        # sites +-8 at n = 16: X_n / n reaches 1.5
+        coin = hadamard_coin()
+        init = InitialState(((8, E1, 0.5), (-8, _GENERIC_PHI, 0.5)))
+        dist = distribution(coin, init, 16)
+        sg = spectral.derivatives(
+            spectral.decompose(spectral.coin_step_momentum_walk(coin), 2**12)
+        )
+        finite = lambda lams: spectral.char_fn_finite(dist, lams)
+        limit = lambda lams: spectral.char_fn_limit(sg, init, lams)
+        eps = 16 ** (-1.0 / 3.0)
+        zw = default_weights()
+        new = zolotarev_bound(finite, limit, eps, zw, radius=1.5)
+        direct = direct_zolotarev_bound(finite, limit, eps, zw)
+        assert 0.0 <= new / direct - 1.0 <= 1e-7
+
+    def test_radius_validation(self):
+        f = lambda lams: np.ones_like(lams, dtype=complex)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                zolotarev_bound(f, f, 0.5, default_weights(), radius=bad)
 
 
 class TestSmoothRegionTransfer:

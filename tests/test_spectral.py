@@ -6,6 +6,7 @@ from qwlab import konno, spectral
 from qwlab.spectral import (
     BranchTrackingFailure,
     DegenerateSpectrum,
+    GridTooCoarse,
     MomentumWalk,
     bound_constants,
     char_fn_finite,
@@ -18,7 +19,13 @@ from qwlab.spectral import (
     free_shift_walk,
     velocity_cdf,
 )
-from qwlab.walk import InitialState, distribution, distribution_snapshots, hadamard_coin
+from qwlab.walk import (
+    CoinParams,
+    InitialState,
+    distribution,
+    distribution_snapshots,
+    hadamard_coin,
+)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -99,6 +106,25 @@ class TestDerivatives:
         # derivatives() raises GridTooCoarse if halving shifts sup|omega''|;
         # reaching here with a filled grid is the check, assert the value too
         assert np.abs(hadamard_grid.curvature).max() == pytest.approx(1.0, abs=1e-6)
+
+    def test_halving_check_compares_the_same_momenta(self):
+        # the maxima of |omega''| on the full and the half grid fall on
+        # different momenta for this coin: 2.1e-6 apart at M = 2^12, while
+        # the full grid's even indices match the half grid to 4e-10
+        coin = CoinParams(np.sqrt(0.5) * np.exp(0.301j), np.sqrt(0.5), 0.0)
+        sg = derivatives(decompose(coin_step_momentum_walk(coin), 2**12))
+        assert sg.has_derivatives()
+
+    @pytest.mark.parametrize(
+        "coin, M",
+        [
+            (hadamard_coin(), 64),
+            (CoinParams(np.sqrt(0.9) + 0j, np.sqrt(0.1) + 0j, 0.0), 256),
+        ],
+    )
+    def test_coarse_grid_still_raises(self, coin, M):
+        with pytest.raises(GridTooCoarse):
+            derivatives(decompose(coin_step_momentum_walk(coin), M))
 
     def test_proj_deriv_sum(self, hadamard_grid):
         total = hadamard_grid.proj_deriv_norm.max(axis=1).sum()
