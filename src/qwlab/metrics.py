@@ -372,60 +372,82 @@ def _node_count(half_type: float, scale: float):
     return degree + 1, float(np.exp(np.min(log_head - degree * np.log(rho))))
 
 
-def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    """Second-kind Chebyshev points of [lo, hi], ascending, endpoints exact."""
+@lru_cache(maxsize=None)
+def _chebyshev_table(lo: float, hi: float, count: int):
+    """Second-kind Chebyshev points of [lo, hi] and their barycentric weights.
+
+    The nodes are rounded (by sin), so the weights are not the textbook
+    +-1, +-1/2 but 1/prod_{k != j} (x_j - x_k) of the nodes as stored: the
+    second barycentric formula is then the polynomial interpolant through
+    them.  Each product is formed in blocks of 32 factors whose binary
+    exponents are split off by frexp (exact), so nothing over- or
+    underflows and every weight carries at most 2N roundings, as in
+    Higham's analysis.  Built on first use, read-only.
+    """
     m = count - 1
     x = np.sin(np.pi * (2.0 * np.arange(count) - m) / (2.0 * m))  # -cos(j pi/m)
-    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+    nodes = np.clip(0.5 * (hi + lo) + 0.5 * (hi - lo) * x, lo, hi)
     nodes[0], nodes[-1] = lo, hi
-    return nodes
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    diff = np.pad(diff, ((0, 0), (0, -count % 32)), constant_values=1.0)
+    mant, expo = np.frexp(diff.reshape(count, -1, 32).prod(axis=2))
+    mant, top = np.frexp(mant.prod(axis=1))
+    expo = expo.sum(axis=1) + top
+    weights = np.ldexp(1.0 / mant, expo.max() - expo)  # common factor 2^max(expo)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _barycentric(nodes: np.ndarray, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The interpolant through (nodes, values) at xs, second barycentric form."""
-    weights = (-1.0) ** np.arange(len(nodes))
-    weights[[0, -1]] *= 0.5
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, xs: np.ndarray):
+    """(interpolant, Lebesgue function) at xs, second barycentric form."""
     out = np.empty(len(xs), dtype=np.complex128)
+    lebesgue = np.ones(len(xs))
     chunk = max(1, int(2**20) // len(nodes))
     for s in range(0, len(xs), chunk):
         diff = xs[s : s + chunk, None] - nodes[None, :]
         exact = diff == 0.0
         c = weights / np.where(exact, 1.0, diff)
-        block = (c @ values) / c.sum(axis=1)
+        total = c.sum(axis=1)
+        block = (c @ values) / total
+        leb = np.abs(c).sum(axis=1) / np.abs(total)
         hit = exact.any(axis=1)
         block[hit] = values[exact[hit].argmax(axis=1)]
+        leb[hit] = 1.0
         out[s : s + chunk] = block
-    return out
+        lebesgue[s : s + chunk] = leb
+    return out, lebesgue
 
 
 def _interpolate(fn, grid: np.ndarray, radius: float, scale: float):
     """(fn at grid, error bound) from Chebyshev nodes on [grid[0], grid[-1]].
 
-    ``fn`` must be entire with |fn(z)| <= 2 scale e^{radius |Im z|}.  The
-    error bound is the truncation bound of :func:`_node_count` plus twice
-    Higham's first-order rounding bound for the second barycentric formula
-    (IMA J. Numer. Anal. 24, 2004), (6N + 6) u Lambda max(|fn(node)|, |p|)
-    for degree N, unit roundoff u and the Lebesgue constant
-    Lambda <= (2/pi) log(N + 1) + 1; the factor two covers the rounded
-    nodes.  Where the nodes would not be fewer than the grid points, fn is
-    sampled on the grid with no error term.
+    ``fn`` must be entire with |fn(z)| <= 2 scale e^{radius |Im z|}.  Let p
+    be its interpolant at the exact Chebyshev points, |fn - p| <= T on the
+    interval by :func:`_node_count`, and q its interpolant at the rounded
+    nodes, with Lebesgue function L.  q reproduces p, so q - p is the
+    interpolant of p - fn at the rounded nodes, and
+    |fn - q| <= T (1 + L) at every grid point.  Evaluating q adds Higham's
+    first-order rounding bound for the second barycentric formula with
+    weights computed from the nodes (IMA J. Numer. Anal. 24, 2004),
+    (6N + 6) u L max(|fn(node)|, |q|) for degree N and unit roundoff u.
+    The error bound is twice the sum of the two, with L at its largest over
+    the grid: the doubling covers the O(u^2) terms and the relative errors, of
+    order Nu, of T, L and q as computed.
     """
     lo, hi = float(grid[0]), float(grid[-1])
     count, truncation = _node_count(radius * (hi - lo) / 2.0, scale)
-    if count >= len(grid):
-        return np.asarray(fn(grid)), 0.0
-    nodes = _chebyshev_nodes(lo, hi, count)
+    nodes, weights = _chebyshev_table(lo, hi, count)
     values = np.asarray(fn(nodes), dtype=np.complex128)
-    interpolant = _barycentric(nodes, values, grid)
+    interpolant, lebesgue = _barycentric(nodes, weights, values, grid)
     size = max(float(np.abs(values).max()), float(np.abs(interpolant).max()))
-    lebesgue = 2.0 / np.pi * np.log(count) + 1.0
-    rounding = np.finfo(float).eps * (6 * count) * lebesgue * size  # eps = 2u
-    return interpolant, truncation + rounding
+    leb = float(lebesgue.max())
+    rounding = 0.5 * np.finfo(float).eps * (6 * count) * leb * size  # eps = 2u
+    return interpolant, 2.0 * (truncation * (1.0 + leb) + rounding)
 
 
-def zolotarev_bound(
-    char_f, char_g, eps: float, zw: ZolotarevWeights, radius: float = 1.0
-) -> float:
+def zolotarev_bound(char_f, char_g, eps: float, zw: ZolotarevWeights, *, radius: float) -> float:
     """eps + eps^{-2} C max(sup_{lam<=1} |delta/lam|, sup_{lam>1} |delta/lam^2|).
 
     ``char_f`` and ``char_g`` must accept arrays of frequencies and be the
@@ -440,9 +462,11 @@ def zolotarev_bound(
     metric.  Neither characteristic function is sampled on the grids:
     delta/lam on [1e-4, 1] and delta on the large interval are interpolated
     from Chebyshev points, as few as make the ATAP Thm 8.2 truncation bound
-    at most 1e-15 (13 and 378 points at radius 1), and each supremum is
-    raised by the interpolation's truncation and rounding bound, so the
-    result is never below the suprema of the sampled values.
+    at most 1e-15 (13 and 378 points at radius 1, more for a wider
+    support), and each supremum is raised by the error bound of
+    :func:`_interpolate`, so the result is never below the suprema of the
+    sampled values.  ``radius`` has no default: a support wider than the
+    one stated would void the truncation bound.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")

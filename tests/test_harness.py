@@ -106,7 +106,7 @@ class TestRateSweepBound:
         radii = []
         bound = metrics.zolotarev_bound
 
-        def spy(*args, radius=1.0):
+        def spy(*args, radius):
             radii.append(radius)
             return bound(*args, radius=radius)
 

@@ -254,7 +254,7 @@ class TestZolotarevBound:
     def test_identical_char_fns(self):
         zw = default_weights()
         f = lambda lams: np.ones_like(lams, dtype=complex)
-        assert zolotarev_bound(f, f, 0.25, zw) == pytest.approx(
+        assert zolotarev_bound(f, f, 0.25, zw, radius=1.0) == pytest.approx(
             0.25 + zw.constant_c / 0.25**2 * 2.0 / 600.0**2
         )
 
@@ -263,7 +263,7 @@ class TestZolotarevBound:
         f = lambda lams: np.ones_like(lams, dtype=complex)
         for bad in (0.0, -1.0, 1.5):
             with pytest.raises(ValueError):
-                zolotarev_bound(f, f, bad, zw)
+                zolotarev_bound(f, f, bad, zw, radius=1.0)
 
     def test_dominates_levy_for_walk(self):
         coin = hadamard_coin()
@@ -279,6 +279,7 @@ class TestZolotarevBound:
             lambda lams: spectral.char_fn_limit(sg, init, lams),
             n ** (-1.0 / 3.0),
             default_weights(),
+            radius=1.0,
         )
         lev = levy(rescaled_cdf(dist), kc)
         assert lev <= bound
@@ -323,29 +324,40 @@ class TestInterpolatedZolotarevBound:
         for n, dist in distribution_snapshots(coin, init, [128, 1024, 8192]).items():
             finite = lambda lams: spectral.char_fn_finite(dist, lams)
             eps = n ** (-1.0 / 3.0)
-            new = zolotarev_bound(finite, limit, eps, zw)
+            new = zolotarev_bound(finite, limit, eps, zw, radius=1.0)
             direct = direct_zolotarev_bound(finite, limit, eps, zw)
-            assert -1e-9 <= new / direct - 1.0 <= 1e-7, n
+            assert 0.0 <= new / direct - 1.0 <= 1e-7, n
 
-    @pytest.mark.parametrize("x", [-1.0, 0.37, 1.0])
+    @pytest.mark.parametrize("x", [-1.0, 0.37, 1.0, 4.0])
     def test_error_term_covers_interpolation_error(self, x):
         # delta = e^{i lam x} - 1 = 2i sin(lam x / 2) e^{i lam x / 2}, free of
-        # cancellation, so the data are exact to rounding
+        # cancellation, so the data are exact to rounding; x = 4 needs more
+        # nodes on (1, 600] than the 1,111 grid points there
+        radius = max(1.0, abs(x))
         delta = lambda lams: 2j * np.sin(lams * x / 2) * np.exp(0.5j * lams * x)
-        for grid, fn in (
-            (metrics._SMALL_GRID, lambda lams: delta(lams) / lams),
-            (metrics._LARGE_GRID, delta),
+        for grid, fn, scale in (
+            (metrics._SMALL_GRID, lambda lams: delta(lams) / lams, radius),
+            (metrics._LARGE_GRID, delta, 1.0),
         ):
-            values, err = metrics._interpolate(fn, grid, 1.0, 1.0)
+            values, err = metrics._interpolate(fn, grid, radius, scale)
             actual = float(np.max(np.abs(values - fn(grid))))
-            assert actual <= err < 1e-11
+            assert actual <= err < 1e-10
 
-    def test_samples_the_grid_when_nodes_would_not_be_fewer(self):
-        # radius 4 on (1, 600] needs more Chebyshev points than the 1,111 there
-        fn = lambda lams: np.exp(4j * lams) - 1.0
-        values, err = metrics._interpolate(fn, metrics._LARGE_GRID, 4.0, 1.0)
-        assert err == 0.0
-        assert np.array_equal(values, fn(metrics._LARGE_GRID))
+    def test_weights_fit_the_rounded_nodes(self):
+        # the weights are those of the nodes as stored: normalised, they
+        # match the Chebyshev +-1, +-1/2 to rounding and reproduce a cubic
+        for lo, hi, count in ((1e-4, 1.0, 13), (1.0, 600.0, 378), (1.0, 600.0, 1500)):
+            nodes, weights = metrics._chebyshev_table(lo, hi, count)
+            assert nodes[0] == lo and nodes[-1] == hi and np.all(np.diff(nodes) > 0)
+            ideal = (-1.0) ** np.arange(count)
+            ideal[[0, -1]] *= 0.5
+            scaled = weights / weights[0] * ideal[0]
+            assert np.max(np.abs(scaled - ideal)) < 1e-9
+            xs = np.linspace(lo, hi, 101)
+            cubic = lambda t: ((t - lo) / (hi - lo)) ** 3 + 0j
+            values, leb = metrics._barycentric(nodes, weights, cubic(nodes), xs)
+            assert np.max(np.abs(values - cubic(xs))) < 1e-13
+            assert np.all(leb >= 1.0 - 1e-12) and leb.max() < 2 / np.pi * np.log(count) + 1.01
 
     def test_pruned_grid_gives_the_full_grid_supremum(self):
         assert metrics._LARGE_GRID.max() <= 600.0 and len(metrics._LARGE_GRID) == 1111
