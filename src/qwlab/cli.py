@@ -124,7 +124,7 @@ def _cmd_limit(args) -> int:
     if args.format == "json":
         doc = {
             "lambda": kc.lambda_c,
-            "rows": [[float(x), float(kc.density(x)), float(kc.cdf(x))] for x in xs],
+            "rows": [list(row) for row in kc.table(xs)],
         }
         _emit(json.dumps(doc, indent=1) + "\n", args.out)
     else:

@@ -16,7 +16,6 @@ oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .walk import CoinParams, InitialState, _check_spinor
 
@@ -71,14 +70,14 @@ class KonnoCDF:
     # -- density ---------------------------------------------------------
 
     def density(self, x):
-        """sigma(x); zero outside the open interval (-|a|, |a|).
+        """sigma(x); zero outside the open interval (-|a|, |a|), NaN for NaN.
 
         The closure endpoints are a set of measure zero where the formula
         diverges; they are reported as 0 and never used by callers, which
         rely on edge_coefficient for the boundary behaviour.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
+        out = np.where(np.isnan(xs), np.nan, 0.0)
         inside = np.abs(xs) < self.abs_a
         xi = xs[inside]
         out[inside] = (
@@ -100,7 +99,7 @@ class KonnoCDF:
     # -- CDF -------------------------------------------------------------
 
     def cdf(self, x):
-        """F_V(x); exact 0 below -|a| and 1 above |a|.
+        """F_V(x); exact 0 below -|a| and 1 above |a|, NaN for NaN.
 
         With u = sqrt(|a|^2 - x^2) the antiderivative of sigma is
 
@@ -122,6 +121,8 @@ class KonnoCDF:
 
     def cdf_exact(self, x: float) -> float:
         """F_V(x) by adaptive quadrature of the density in t, the oracle for ``cdf``."""
+        from scipy.integrate import quad  # the oracle alone needs scipy.integrate
+
         if x <= -self.abs_a:
             return 0.0
         if x >= self.abs_a:
@@ -177,10 +178,14 @@ class KonnoCDF:
 
     # -- dumps -------------------------------------------------------------
 
+    def table(self, xs):
+        """(x, sigma(x), F(x)) rows as Python floats, one array call each."""
+        xs = np.asarray(xs, dtype=float)
+        return list(zip(xs.tolist(), self.density(xs).tolist(), self.cdf(xs).tolist()))
+
     def table_csv(self, xs) -> str:
         lines = ["x,sigma,F"]
-        for x in np.asarray(xs, dtype=float):
-            lines.append(f"{x:.17g},{self.density(x):.17g},{self.cdf(x):.17g}")
+        lines.extend(f"{x:.17g},{sigma:.17g},{F:.17g}" for x, sigma, F in self.table(xs))
         return "\n".join(lines) + "\n"
 
 

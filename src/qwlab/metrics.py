@@ -36,6 +36,32 @@ def _is_step(f) -> bool:
     return isinstance(f, StepCDF)
 
 
+_PAIRS_PER_BLOCK = 2**20
+
+
+def window_sums(start, stop, term) -> np.ndarray:
+    """out[i] = sum of term(i, k) over k in [start[i], stop[i]).
+
+    ``term`` maps equal-length arrays of point indices i and item indices k
+    to the values to add.  The (i, k) pairs are formed in blocks of about
+    2^20 and summed per point in order of k, so the work follows the window
+    sizes and no (points x items) array is built.
+    """
+    counts = stop - start
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    out = np.zeros(len(start))
+    s = 0
+    while s < len(start):
+        e = int(np.searchsorted(bounds, bounds[s] + _PAIRS_PER_BLOCK, side="right")) - 1
+        e = min(max(e, s + 1), len(start))
+        c = counts[s:e]
+        point = np.repeat(np.arange(s, e), c)
+        item = np.arange(bounds[s], bounds[e]) - np.repeat(bounds[s:e] - start[s:e], c)
+        out[s:e] = np.bincount(point - s, weights=term(point, item), minlength=e - s)
+        s = e
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov metric
 # ---------------------------------------------------------------------------
@@ -205,22 +231,21 @@ def _irwin_hall_cdf(s, m: int):
 
     Evaluated by the alternating finite-difference sum; arguments above m/2
     use the symmetry F(s) = 1 - F(m - s) to keep the cancellation bounded.
-    Double precision holds this to ~1e-12 for m <= 12.
+    The reflected argument is at most m/2, so the terms (t - j)_+^m with
+    j >= m/2 vanish and are skipped.  Double precision holds this to ~1e-12
+    for m <= 12.  NaN in, NaN out.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s)
-    lowhalf = s <= m / 2.0
-    for mask, arg, flip in ((lowhalf, s, False), (~lowhalf, m - s, True)):
-        if not mask.any():
-            continue
-        t = np.clip(arg[mask], 0.0, m)
-        acc = np.zeros_like(t)
-        binoms = _irwin_hall_binoms(m)
-        for j in range(m + 1):
-            term = binoms[j] * np.where(t > j, (t - j) ** m, 0.0)
-            acc += term if j % 2 == 0 else -term
-        vals = acc / math.factorial(m)
-        out[mask] = 1.0 - vals if flip else vals
+    t = np.clip(np.minimum(s, m - s), 0.0, m)  # m - s is the lesser above m/2
+    acc = t**m
+    binoms = _irwin_hall_binoms(m)
+    for j in range(1, (m + 1) // 2):
+        term = binoms[j] * np.maximum(t - j, 0.0) ** m
+        acc += term if j % 2 == 0 else -term
+    vals = acc / math.factorial(m)
+    out = 1.0 - vals
+    np.copyto(out, vals, where=s <= m / 2.0)
+    out[np.isnan(s)] = np.nan
     return out
 
 
@@ -266,11 +291,17 @@ class SmoothingFamily:
 
 
 class ConvolvedCDF:
-    """Continuous CDF F * Theta for a step F: sum_i dF_i Theta(x - x_i)."""
+    """Continuous CDF F * Theta for a step F: sum_i dF_i Theta(x - x_i).
+
+    Theta is 0 up to -eps/2 and 1 from eps/2 on, so only the jumps within
+    eps/2 of x need it: the jumps at or below x - eps/2 add their prefix
+    mass and those at or above x + eps/2 add nothing.  NaN in, NaN out.
+    """
 
     def __init__(self, F: StepCDF, fam: SmoothingFamily):
         self._jumps = F.jump_points
         self._masses = F.jump_masses()
+        self._mass_below = np.concatenate(([0.0], np.cumsum(self._masses)))
         self._fam = fam
         self.support = (
             float(F.jump_points[0] - fam.eps / 2),
@@ -279,11 +310,13 @@ class ConvolvedCDF:
 
     def __call__(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(len(xs))
-        chunk = max(1, int(2**20) // max(len(self._jumps), 1))
-        for s in range(0, len(xs), chunk):
-            block = xs[s : s + chunk, None] - self._jumps[None, :]
-            out[s : s + chunk] = self._fam.cdf(block) @ self._masses
+        half = 0.5 * self._fam.eps
+        start = np.searchsorted(self._jumps, xs - half, side="right")
+        stop = np.searchsorted(self._jumps, xs + half, side="left")
+        out = self._mass_below[start] + window_sums(
+            start, stop, lambda i, k: self._fam.cdf(xs[i] - self._jumps[k]) * self._masses[k]
+        )
+        out[np.isnan(xs)] = np.nan
         return out if np.ndim(x) else float(out[0])
 
 

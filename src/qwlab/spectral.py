@@ -10,12 +10,13 @@ characteristic functions used by the convergence-rate experiments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .metrics import window_sums
 from .walk import CoinParams, InitialState, PositionDistribution
 
 
@@ -136,23 +137,63 @@ def _wrap_angle(x):
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
-def _match_bands(prev_omega, prev_proj, phases, projs) -> np.ndarray:
-    """Assign new eigenphases to bands.
+def _pair_costs(phases, projs, next_phases, next_projs) -> np.ndarray:
+    """cost[j, r, c] of continuing raw eigenpair r of point j as pair c of the next.
 
-    Cost combines circular phase distance with projector Frobenius distance;
-    the projector term resolves transversal band crossings, where the two
-    eigenvalues trade places but the spectral projectors stay smooth.
+    The cost combines circular phase distance with projector Frobenius
+    distance; the projector term resolves transversal band crossings, where
+    the two eigenvalues trade places but the spectral projectors stay
+    smooth.  Phase distances are circular, so the cost does not depend on
+    how many times a band has wound.
     """
-    cost = np.abs(_wrap_angle(prev_omega[:, None] - phases[None, :]))
-    cost += np.sqrt(
-        np.sum(np.abs(prev_proj[:, None] - projs[None, :]) ** 2, axis=(2, 3))
-    )
-    _, cols = linear_sum_assignment(cost)
-    return cols
+    d = phases.shape[1]
+    cost = np.empty((len(phases), d, d))
+    for r in range(d):
+        for c in range(d):
+            cost[:, r, c] = np.abs(_wrap_angle(phases[:, r] - next_phases[:, c]))
+            cost[:, r, c] += np.sqrt(
+                np.sum(np.abs(projs[:, r] - next_projs[:, c]) ** 2, axis=(1, 2))
+            )
+    return cost
+
+
+def _best_matches(cost: np.ndarray) -> np.ndarray:
+    """Least-total-cost permutation (row r -> column) of each d x d cost matrix.
+
+    The argmin over all d! permutations, so ties go to the first in
+    lexicographic order, the identity first.  For d = 2: identity or swap.
+    """
+    d = cost.shape[-1]
+    perms = np.array(list(itertools.permutations(range(d))))
+    totals = np.zeros((len(cost), len(perms)))
+    for r in range(d):
+        totals += cost[:, r, perms[:, r]]
+    return perms[np.argmin(totals, axis=1)]
+
+
+def _compose_prefix(maps: np.ndarray) -> np.ndarray:
+    """out[j] = maps[j] o ... o maps[0] for index maps (out[j][k] = maps[j][...[maps[0][k]]]).
+
+    A doubling scan: log2(len) vectorised compositions, exact in integers.
+    """
+    out = maps.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = np.take_along_axis(out[shift:], out[:-shift], axis=1)
+        shift *= 2
+    return out
 
 
 def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
     """Eigendecompose W(p) on M uniform midpoint momenta and track bands.
+
+    The raw eigenpairs of consecutive grid points are matched by the
+    least-cost permutation of :func:`_pair_costs`.  The match does not
+    depend on the tracked order, so all M - 1 matches (and the one across
+    the 2pi seam) are found at once and composed by a prefix scan; band k
+    starts at the k-th smallest phase.  ``omega`` is the raw phase plus 2pi
+    times the band's cumulative integer winding, so unwrapping adds no
+    floating-point drift along the grid.
 
     Raises DegenerateSpectrum when eigenphases at a grid point are closer
     than 1e-6 (circularly), and BranchTrackingFailure when band continuity
@@ -187,16 +228,21 @@ def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     point_projs = np.einsum("jak,jbk->jkab", vecs, np.conj(vecs))  # (M, d, d, d)
 
-    omega = np.empty((d, M))
-    projectors = np.empty((d, M, d, d), dtype=np.complex128)
+    # raw[j, k]: the raw eigenpair of point j that band k runs through.
     order0 = np.argsort(phases[0])
-    omega[:, 0] = phases[0, order0]
-    projectors[:, 0] = point_projs[0, order0]
-
-    for j in range(1, M):
-        cols = _match_bands(omega[:, j - 1], projectors[:, j - 1], phases[j], point_projs[j])
-        omega[:, j] = omega[:, j - 1] + _wrap_angle(phases[j, cols] - omega[:, j - 1])
-        projectors[:, j] = point_projs[j, cols]
+    matches = _best_matches(
+        _pair_costs(phases[:-1], point_projs[:-1], phases[1:], point_projs[1:])
+    )
+    raw = _compose_prefix(np.concatenate([order0[None, :], matches]))
+    rows = np.arange(M)[:, None]
+    tracked = phases[rows, raw]  # (M, d)
+    step_raw = np.diff(tracked, axis=0)
+    winding = np.cumsum(
+        np.rint((_wrap_angle(step_raw) - step_raw) / (2.0 * np.pi)).astype(np.int64), axis=0
+    )
+    omega = tracked.T.copy()
+    omega[:, 1:] += 2.0 * np.pi * winding.T
+    projectors = np.ascontiguousarray(np.swapaxes(point_projs[rows, raw], 0, 1))
 
     step = np.abs(np.diff(omega, axis=1))
     if step.max() >= np.pi / 4:
@@ -205,9 +251,10 @@ def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
         )
 
     # Continuation across the 2pi seam: bands may wind and may permute.
-    seam_cols = _match_bands(
-        omega[:, M - 1], projectors[:, M - 1], phases[0], point_projs[0]
-    )
+    seam_match = _best_matches(
+        _pair_costs(phases[-1:], point_projs[-1:], phases[:1], point_projs[:1])
+    )[0]
+    seam_cols = seam_match[raw[-1]]
     inv0 = np.argsort(order0)
     seam_perm = inv0[seam_cols]  # band k continues as band seam_perm[k]
     cont = omega[:, M - 1] + _wrap_angle(phases[0, seam_cols] - omega[:, M - 1])
@@ -362,7 +409,16 @@ class VelocityCDF:
     Built from per-cell linear models of the velocity band over the momentum
     grid; cells adjacent to velocity extrema are subdivided with a cubic
     Hermite model so the inverse-square-root edge behaviour is resolved.
-    Callable on scalars or arrays; nondecreasing by construction.
+    Callable on scalars or arrays (NaN in, NaN out); nondecreasing by
+    construction.
+
+    A cell with ends v0, v1, end masses m0, m1 and weight w adds nothing
+    below min(v0, v1) and its full mass w (m0 + m1) / 2 from max(v0, v1)
+    up; in between, its linear mass density gives a quadratic in x.  An
+    evaluation takes the prefix sum of full masses over the cells sorted by
+    upper end, and the quadratic only for the few cells straddling x, whose
+    lower ends lie within a cell width below x.  Nothing of size
+    (points x cells) is formed.
     """
 
     def __init__(self, v0, v1, m0, m1, weight):
@@ -371,29 +427,41 @@ class VelocityCDF:
         self._m0 = m0
         self._m1 = m1
         self._w = weight
-        self.support = (float(min(v0.min(), v1.min())), float(max(v0.max(), v1.max())))
+        lower = np.minimum(v0, v1)
+        self._upper = np.maximum(v0, v1)
+        self.support = (float(lower.min()), float(self._upper.max()))
+        by_upper = np.argsort(self._upper, kind="stable")
+        self._upper_sorted = self._upper[by_upper]
+        full = 0.5 * (m0 + m1) * weight
+        self._mass_below = np.concatenate(([0.0], np.cumsum(full[by_upper])))
+        self._by_lower = np.argsort(lower, kind="stable")
+        self._lower_sorted = lower[self._by_lower]
+        # Twice the widest cell: every cell with lower < x < upper starts in
+        # [x - reach, x) even after x - reach is rounded.
+        self._reach = 2.0 * float((self._upper - lower).max())
+
+    def _straddling_mass(self, x, cell):
+        """Weighted mass below x of each cell starting below x; 0 once it ends."""
+        out = np.zeros(len(cell))
+        inside = self._upper[cell] > x
+        cell, x = cell[inside], x[inside]
+        v0, m0, m1 = self._v0[cell], self._m0[cell], self._m1[cell]
+        dv = self._v1[cell] - v0  # nonzero: the cell straddles x
+        t = np.clip((x - v0) / dv, 0.0, 1.0)
+        partial = m0 * t + 0.5 * (m1 - m0) * t * t
+        mass = np.where(dv > 0.0, partial, 0.5 * (m0 + m1) - partial)
+        out[inside] = mass * self._w[cell]
+        return out
 
     def __call__(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(len(xs))
-        v0, v1, m0, m1, w = self._v0, self._v1, self._m0, self._m1, self._w
-        dv = v1 - v0
-        flat = dv == 0.0
-        up = dv > 0.0
-        half = 0.5 * (m0 + m1)
-        chunk = max(1, int(2**22) // max(len(v0), 1))
-        for s in range(0, len(xs), chunk):
-            xb = xs[s : s + chunk][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (xb - v0[None, :]) / dv[None, :]
-            t = np.clip(np.where(flat[None, :], 0.0, t), 0.0, 1.0)
-            partial = m0[None, :] * t + 0.5 * (m1 - m0)[None, :] * t * t
-            contrib = np.where(
-                flat[None, :],
-                half[None, :] * (v0[None, :] <= xb),
-                np.where(up[None, :], partial, half[None, :] - partial),
-            )
-            out[s : s + chunk] = contrib @ w
+        out = self._mass_below[np.searchsorted(self._upper_sorted, xs, side="right")]
+        start = np.searchsorted(self._lower_sorted, xs - self._reach, side="left")
+        stop = np.searchsorted(self._lower_sorted, xs, side="left")
+        out += window_sums(
+            start, stop, lambda i, k: self._straddling_mass(xs[i], self._by_lower[k])
+        )
+        out[np.isnan(xs)] = np.nan
         return out if np.ndim(x) else float(out[0])
 
 

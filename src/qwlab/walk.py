@@ -248,7 +248,7 @@ class StepCDF:
     """Right-continuous step CDF with sorted jump points.
 
     ``value_at`` evaluates F(x); ``left_limit_at`` evaluates F(x-).  Both
-    accept scalars or arrays.
+    accept scalars or arrays, and give NaN for NaN.
     """
 
     def __init__(self, jump_points, cumulative):
@@ -269,13 +269,15 @@ class StepCDF:
         return np.diff(self.cumulative, prepend=0.0)
 
     def value_at(self, x):
-        idx = np.searchsorted(self.jump_points, x, side="right")
-        vals = np.concatenate(([0.0], self.cumulative))[idx]
-        return vals if np.ndim(x) else float(vals)
+        return self._lookup(x, "right")
 
     def left_limit_at(self, x):
-        idx = np.searchsorted(self.jump_points, x, side="left")
+        return self._lookup(x, "left")
+
+    def _lookup(self, x, side: str):
+        idx = np.searchsorted(self.jump_points, x, side=side)
         vals = np.concatenate(([0.0], self.cumulative))[idx]
+        vals = np.where(np.isnan(x), np.nan, vals)  # NaN sorts past every jump
         return vals if np.ndim(x) else float(vals)
 
     def to_csv(self) -> str:

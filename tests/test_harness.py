@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import qwlab
-from qwlab import harness, metrics
+from qwlab import harness, konno, metrics
 from qwlab.cli import cli_main
 from qwlab.harness import (
     NonPositiveValue,
@@ -179,6 +182,27 @@ class TestCLI:
         lines = out.strip().split("\n")
         assert lines[0] == "x,sigma,F"
         assert len(lines) == 8
+
+    def test_limit_json_rows_match_per_scalar_calls(self, capsys):
+        code = cli_main(["limit", "--preset", "hadamard", "--phi", "0.6,0,0,0.8",
+                         "--grid", "201", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        kc = konno.KonnoCDF(hadamard_coin(), np.array([0.6, 0.8j]))
+        xs = np.linspace(-1.0, 1.0, 201)
+        assert doc["rows"] == [[float(x), float(kc.density(x)), float(kc.cdf(x))] for x in xs]
+
+    def test_import_loads_no_optimize_or_integrate(self):
+        # scipy.optimize and scipy.integrate serve test oracles only
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qwlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, qwlab.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_rates_csv_and_slopes(self, tmp_path, capsys):
         out_path = tmp_path / "rates.csv"

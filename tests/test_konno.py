@@ -233,3 +233,16 @@ class TestDump:
         assert lines[0] == "x,sigma,F"
         assert len(lines) == 6
         assert lines[-1].endswith(",1")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_matches_per_scalar_formatting(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=4)
+        phi = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
+        coin = hadamard_coin() if seed < 3 else CoinParams(0.6 * np.exp(0.2j), 0.8j, 0.5)
+        kc = KonnoCDF(coin, phi / np.linalg.norm(phi))
+        xs = np.linspace(-1.0, 1.0, 4001)
+        lines = ["x,sigma,F"]
+        for x in xs:
+            lines.append(f"{x:.17g},{kc.density(x):.17g},{kc.cdf(x):.17g}")
+        assert kc.table_csv(xs) == "\n".join(lines) + "\n"

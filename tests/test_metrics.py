@@ -230,6 +230,74 @@ class TestConvolve:
             convolve(kc, SmoothingFamily(1.0))
 
 
+def _dense_convolved(conv, xs):
+    """sum_i dF_i Theta(x - x_i) over every jump: the (points x jumps) sum."""
+    xs = np.asarray(xs, dtype=float)
+    return conv._fam.cdf(xs[:, None] - conv._jumps[None, :]) @ conv._masses
+
+
+class TestWindowedConvolution:
+    @pytest.mark.parametrize("eps", [64 ** (-1.0 / 3.0), 0.01])
+    @pytest.mark.parametrize(
+        "coin, phi",
+        [(hadamard_coin(), E1), (CoinParams(np.sqrt(0.3) * np.exp(0.7j), np.sqrt(0.7), 0.4),
+                                 np.array([0.6, 0.8j]))],
+        ids=["hadamard-e1", "generic"],
+    )
+    def test_matches_dense_sum(self, coin, phi, eps):
+        F = rescaled_cdf(distribution(coin, InitialState.pure(phi), 64))
+        conv = convolve(F, SmoothingFamily(eps))
+        jumps = F.jump_points
+        xs = np.concatenate([
+            jumps, jumps - eps / 2, jumps + eps / 2, np.linspace(-1.5, 1.5, 401),
+            [-np.inf, np.inf, -3.0, 3.0],
+        ])
+        assert np.max(np.abs(conv(xs) - _dense_convolved(conv, xs))) < 1e-12
+        assert conv(-np.inf) == 0.0 and conv(np.inf) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [2**20, 7])
+    def test_window_sums(self, monkeypatch, block):
+        # blocks of 7 pairs split the points; the sums must not depend on it
+        monkeypatch.setattr(metrics, "_PAIRS_PER_BLOCK", block)
+        rng = np.random.default_rng(5)
+        start = rng.integers(0, 20, size=50)
+        stop = start + rng.integers(0, 12, size=50)
+        values = rng.uniform(size=40)
+        expected = [values[a:b].sum() for a, b in zip(start, stop)]
+        sums = metrics.window_sums(start, stop, lambda i, k: values[k])
+        assert np.allclose(sums, expected, rtol=0, atol=1e-15)
+
+
+def _nan_evaluators():
+    F = rescaled_cdf(distribution(hadamard_coin(), InitialState.pure(E1), 16))
+    fam = SmoothingFamily(0.1)
+    kc = konno.KonnoCDF(hadamard_coin(), E1)
+    sg = spectral.derivatives(
+        spectral.decompose(spectral.coin_step_momentum_walk(hadamard_coin()), 2**10)
+    )
+    return {
+        "SmoothingFamily.cdf": fam.cdf,
+        "ConvolvedCDF": convolve(F, fam),
+        "StepCDF.value_at": F.value_at,
+        "StepCDF.left_limit_at": F.left_limit_at,
+        "KonnoCDF.density": kc.density,
+        "KonnoCDF.cdf": kc.cdf,
+        "VelocityCDF": spectral.velocity_cdf(sg, InitialState.pure(E1)),
+    }
+
+
+_NAN_EVALUATORS = _nan_evaluators()
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_EVALUATORS))
+def test_nan_in_nan_out(name):
+    f = _NAN_EVALUATORS[name]
+    assert np.isnan(f(np.nan))
+    out = np.asarray(f(np.array([np.nan, 0.1, np.nan])))
+    assert np.isnan(out[[0, 2]]).all()
+    assert np.isfinite(out[1])
+
+
 class TestSmoothingLemma:
     @settings(max_examples=10, deadline=None)
     @given(F=step_cdfs(), G=step_cdfs(), eps=st.sampled_from([0.1, 0.01]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import qwlab
 from qwlab import konno, spectral
@@ -18,6 +19,7 @@ from qwlab.spectral import (
     evolve_momentum,
     free_shift_walk,
     velocity_cdf,
+    VelocityCDF,
 )
 from qwlab.walk import (
     CoinParams,
@@ -28,6 +30,74 @@ from qwlab.walk import (
 )
 
 E1 = np.array([1.0, 0.0], dtype=complex)
+GENERIC_COIN = CoinParams(
+    a=np.sqrt(0.4) * np.exp(0.7j), b=np.sqrt(0.6) * np.exp(-1.1j), theta=0.3
+)
+GENERIC_PHI = np.array([0.6, 0.8 * np.exp(1.3j)])
+
+
+# -- the band tracker as a loop of Hungarian assignments (oracle) -----------
+
+
+def _match_bands(prev_omega, prev_proj, phases, projs) -> np.ndarray:
+    """Assign the eigenpairs of one grid point to the tracked bands."""
+    cost = np.abs(spectral._wrap_angle(prev_omega[:, None] - phases[None, :]))
+    cost += np.sqrt(
+        np.sum(np.abs(prev_proj[:, None] - projs[None, :]) ** 2, axis=(2, 3))
+    )
+    _, cols = linear_sum_assignment(cost)
+    return cols
+
+
+def _loop_decompose(walk, M):
+    """(omega, projectors, seam_perm, seam_offset), one grid point at a time."""
+    wrap = spectral._wrap_angle
+    ps = 2.0 * np.pi * (np.arange(M) + 0.5) / M
+    vals, vecs = np.linalg.eig(walk.unitary_batch(ps))
+    phases = np.angle(vals)
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    point_projs = np.einsum("jak,jbk->jkab", vecs, np.conj(vecs))
+    d = walk.dim
+    omega = np.empty((d, M))
+    projectors = np.empty((d, M, d, d), dtype=np.complex128)
+    order0 = np.argsort(phases[0])
+    omega[:, 0] = phases[0, order0]
+    projectors[:, 0] = point_projs[0, order0]
+    for j in range(1, M):
+        cols = _match_bands(omega[:, j - 1], projectors[:, j - 1], phases[j], point_projs[j])
+        omega[:, j] = omega[:, j - 1] + wrap(phases[j, cols] - omega[:, j - 1])
+        projectors[:, j] = point_projs[j, cols]
+    seam_cols = _match_bands(omega[:, -1], projectors[:, -1], phases[0], point_projs[0])
+    seam_perm = np.argsort(order0)[seam_cols]
+    cont = omega[:, -1] + wrap(phases[0, seam_cols] - omega[:, -1])
+    seam_offset = 2.0 * np.pi * np.round((cont - omega[seam_perm, 0]) / (2.0 * np.pi))
+    return omega, projectors, seam_perm, seam_offset
+
+
+def _cyclic_walk(p):
+    """Three bands e^{i(p + 2 pi k)/3}: they wind and permute cyclically at the seam."""
+    return np.array([[0.0, 0.0, np.exp(1j * p)], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+_ROTATION = np.linalg.qr(
+    np.random.default_rng(7).normal(size=(3, 3))
+    + 1j * np.random.default_rng(8).normal(size=(3, 3))
+)[0]
+
+
+def _crossing_walk(p):
+    """Three bands p, -p, 2 sin p in a fixed generic basis; they cross transversally."""
+    phases = np.exp(1j * np.array([p, -p, 2.0 * np.sin(p)]))
+    return (_ROTATION * phases) @ np.conj(_ROTATION.T)
+
+
+TRACKED_WALKS = {
+    "hadamard": coin_step_momentum_walk(hadamard_coin()),
+    "generic": coin_step_momentum_walk(GENERIC_COIN),
+    "free_shift": free_shift_walk(),
+    "cyclic3": MomentumWalk(dim=3, unitary_at=_cyclic_walk),
+    "crossing3": MomentumWalk(dim=3, unitary_at=_crossing_walk),
+}
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +163,41 @@ class TestDecompose:
         walk = MomentumWalk(dim=2, unitary_at=lambda p: np.diag([1.0, 0.5]))
         with pytest.raises(ValueError):
             decompose(walk, 128)
+
+
+class TestVectorisedTracking:
+    @pytest.mark.parametrize("M", [256, 4096])
+    @pytest.mark.parametrize("name", sorted(TRACKED_WALKS))
+    def test_matches_the_hungarian_loop(self, name, M):
+        walk = TRACKED_WALKS[name]
+        omega, projectors, seam_perm, seam_offset = _loop_decompose(walk, M)
+        sg = decompose(walk, M)
+        assert np.array_equal(sg.projectors, projectors)
+        # the loop re-anchors to the raw phase at every step, within an ulp
+        assert np.abs(sg.omega - omega).max() < 1e-14
+        assert np.array_equal(sg.seam_perm, seam_perm)
+        assert np.array_equal(sg.seam_offset, seam_offset)
+
+    def test_seam_permutation_and_windings(self):
+        sg = decompose(TRACKED_WALKS["cyclic3"], 256)
+        assert sg.seam_perm.tolist() == [1, 2, 0]
+        assert (sg.seam_offset / (2 * np.pi)).tolist() == [0.0, 0.0, 1.0]
+
+    def test_prefix_composition(self):
+        rng = np.random.default_rng(3)
+        maps = np.array([rng.permutation(4) for _ in range(1000)])
+        expected = [maps[0]]
+        for m in maps[1:]:
+            expected.append(m[expected[-1]])
+        assert np.array_equal(spectral._compose_prefix(maps), np.array(expected))
+
+    def test_best_match_is_least_total_cost(self):
+        rng = np.random.default_rng(4)
+        cost = rng.uniform(size=(200, 3, 3))
+        best = spectral._best_matches(cost)
+        for c, perm in zip(cost, best):
+            rows, cols = linear_sum_assignment(c)
+            assert c[rows, perm].sum() == pytest.approx(c[rows, cols].sum(), abs=1e-15)
 
 
 class TestDerivatives:
@@ -162,6 +267,48 @@ class TestVelocityCDF:
         F = velocity_cdf(hadamard_grid, InitialState.pure(E1))
         xs = np.linspace(-0.9, 0.9, 500)
         assert np.max(np.abs(F(xs) - kc.cdf(xs))) < 2e-6
+
+
+def _dense_velocity_cdf(F, xs):
+    """Every cell's mass below x, summed over all cells: the (points x cells) product."""
+    v0, v1, m0, m1, w = F._v0, F._v1, F._m0, F._m1, F._w
+    xb = np.asarray(xs, dtype=float)[:, None]
+    dv = v1 - v0
+    flat = dv == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (xb - v0) / dv
+    t = np.clip(np.where(flat, 0.0, t), 0.0, 1.0)
+    partial = m0 * t + 0.5 * (m1 - m0) * t * t
+    half = 0.5 * (m0 + m1)
+    contrib = np.where(flat, half * (v0 <= xb), np.where(dv > 0.0, partial, half - partial))
+    return contrib @ w
+
+
+class TestVelocityCDFOracle:
+    @pytest.mark.parametrize("phi", [E1, GENERIC_PHI], ids=["e1", "generic"])
+    @pytest.mark.parametrize("coin", [hadamard_coin(), GENERIC_COIN], ids=["hadamard", "generic"])
+    def test_matches_dense_product(self, coin, phi):
+        sg = derivatives(decompose(coin_step_momentum_walk(coin), 2**11))
+        F = velocity_cdf(sg, InitialState.pure(phi))
+        rng = np.random.default_rng(6)
+        ends = rng.choice(np.concatenate([F._v0, F._v1]), size=400, replace=False)
+        xs = np.concatenate([
+            ends, np.linspace(-1.2, 1.2, 241), F.support, [-np.inf, np.inf, -2.0, 2.0],
+        ])
+        assert np.max(np.abs(F(xs) - _dense_velocity_cdf(F, xs))) < 1e-12
+        assert F(-np.inf) == 0.0 and F(-2.0) == 0.0
+        assert F(np.inf) == F(2.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_and_tied_cells(self):
+        rng = np.random.default_rng(9)
+        v0 = np.round(rng.uniform(-1.0, 1.0, 600), 2)  # many shared endpoints
+        v1 = v0 + np.round(rng.normal(0.0, 0.05, 600), 2)
+        v1[::7] = v0[::7]  # flat cells: a point mass at v0
+        m0, m1, w = rng.uniform(size=(3, 600))
+        F = VelocityCDF(v0, v1, m0, m1, w)
+        xs = np.concatenate([v0, v1, np.linspace(-1.5, 1.5, 301), [-np.inf, np.inf]])
+        assert np.max(np.abs(F(xs) - _dense_velocity_cdf(F, xs))) < 1e-12
+        assert F(np.inf) == pytest.approx(np.sum(0.5 * (m0 + m1) * w), rel=1e-14)
 
 
 class TestCharFunctions:
