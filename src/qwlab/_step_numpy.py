@@ -1,40 +1,36 @@
-"""The coin-step evolution kernel, vectorised over sites with numpy.
+"""The gauged walk's evolution kernel on the parity sublattice, with numpy.
 
-One walk step is shift∘coin: the 2x2 coin acts on every occupied spinor,
-then component 0 hops one site right and component 1 one site left.
+``qwlab.walk`` gauges every coin walk to one with a real coin R.  At step m
+the walk occupies the sites k = 2j - m, j = 0..m, and cell j of a buffer
+holds site 2j - m.  One shift∘coin step then reads
+
+    x0'[j + 1] = R00 x0[j] + R01 x1[j]
+    x1'[j]     = R10 x0[j] + R11 x1[j]
+
+because component 0 hops right (one cell up) and component 1 hops left
+(the same cell).  The occupied window grows by one cell a step.
 """
-
-import numpy as np
 
 
 def evolve_steps(amps, coin, steps, lo, hi):
-    """Advance ``amps`` in place by ``steps`` shift∘coin applications.
+    """Advance ``amps`` in place by ``steps`` sublattice steps of ``coin``.
 
-    ``amps`` is a (2, L) complex128 array whose occupied window is
-    [lo, hi].  Requires lo - steps >= 1 and hi + steps <= L - 2 so the
-    light cone stays inside the buffer.  Returns the new (lo, hi).
+    ``amps`` is a (2, L) float64 array whose occupied cells are [lo, hi];
+    cells outside them hold 0.  ``coin`` is the real 2x2 coin R.  Requires
+    hi + steps <= L - 1 so the light cone stays inside the buffer.  Returns
+    the new (lo, hi).
     """
     L = amps.shape[1]
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if lo - steps < 1 or hi + steps > L - 2:
+    if lo < 0 or hi + steps > L - 1:
         raise ValueError("amplitude buffer too small for requested steps")
 
-    c00, c01 = coin[0, 0], coin[0, 1]
-    c10, c11 = coin[1, 0], coin[1, 1]
-    src = amps
-    dst = np.zeros_like(amps)
+    x0, x1 = amps
     for _ in range(steps):
-        dst[0, lo + 1 : hi + 2] = c00 * src[0, lo : hi + 1] + c01 * src[1, lo : hi + 1]
-        dst[1, lo - 1 : hi] = c10 * src[0, lo : hi + 1] + c11 * src[1, lo : hi + 1]
-        # Window cells not written above may hold stale values from two
-        # steps ago (the window only grows), so zero them explicitly.
-        dst[0, lo - 1 : lo + 1] = 0.0
-        dst[1, hi : hi + 2] = 0.0
-        src, dst = dst, src
-        lo -= 1
+        rotated = coin @ amps[:, lo : hi + 1]
+        x1[lo : hi + 1] = rotated[1]
+        x0[lo + 1 : hi + 2] = rotated[0]
+        x0[lo] = 0.0
         hi += 1
-
-    if src is not amps:
-        amps[:, :] = src
     return lo, hi

@@ -21,8 +21,16 @@ from .walk import (
     InitialState,
     distribution,
     distribution_snapshots,
+    footprint_bytes,
     hadamard_coin,
 )
+
+# ``simulate`` refuses a call whose arrays and text would pass this size.
+MAX_SIMULATE_BYTES = 2**30
+# CSV or JSON text of one site plus the Python objects that build it
+# (tracemalloc peaks of a run at n = 20000: about 110 B a site for CSV and
+# 390 B for JSON).
+_TEXT_BYTES_PER_SITE = 512
 
 _CONFIG_KEYS = ("coin", "preset", "phi", "n", "n-list", "out", "format", "grid")
 
@@ -103,10 +111,21 @@ def _apply_config(args):
             setattr(args, attr, val)
 
 
+def simulate_bytes(init: InitialState, n: int) -> int:
+    """Bytes that ``simulate`` needs for n steps: the walk's arrays and the
+    text of its 2n + 1 output rows."""
+    return footprint_bytes(init, [n]) + _TEXT_BYTES_PER_SITE * (2 * n + 1)
+
+
 def _cmd_simulate(args) -> int:
     coin = _parse_coin(args)
     init = InitialState.pure(_parse_phi(args))
     n = int(args.n if args.n is not None else 100)
+    need = simulate_bytes(init, n)
+    if need > MAX_SIMULATE_BYTES:
+        raise ValueError(
+            f"--n {n} needs about {need} bytes, above the {MAX_SIMULATE_BYTES}-byte cap"
+        )
     dist = distribution(coin, init, n)
     if args.format == "json":
         doc = {"n": n, "rows": [[int(k), float(p)] for k, p in zip(dist.sites(), dist.probs)]}

@@ -1,17 +1,40 @@
 """Exact position-space simulation of one-dimensional coin-step quantum walks.
 
-A walk step is W = shift∘coin on l2(Z; C^2): the unitary coin rotates every
-on-site spinor, after which the first spinor component hops one site to the
-right and the second one site to the left.  States are dense complex arrays
-over the light cone, so evolving n steps costs O(n^2) multiply-adds total.
+A walk step is W = shift∘coin on l2(Z; C^2): the unitary coin
+C = e^{i theta} [[a, b], [-conj(b), conj(a)]] rotates every on-site spinor,
+after which the first spinor component hops one site to the right and the
+second one site to the left.  ``evolve`` applies that step to a dense
+complex state; it is the reference the production engine is tested against.
 
-The inner loop is the vectorised numpy kernel ``qwlab._step_numpy``;
-``KERNEL_BACKEND`` names it in provenance records.
+The production engine evolves one real vector per walk:
+
+* Gauge.  With psi_j(m, k) = e^{i(theta m + k arg a + q_j)} chi_j(m, k),
+  q_0 = 0 and q_1 = arg a - arg b, the m-step walk of C on psi is the walk
+  of the real rotation R = [[|a|, |b|], [-|b|, |a|]] on chi, and
+  |psi_j|^2 = |chi_j|^2 at every site.  A spinor phi starts the R-walk at
+  g = (phi_0, e^{i(arg b - arg a)} phi_1).
+* Sublattice.  After m steps only the sites k = 2j - m, j = 0..m, are
+  occupied, so the R-walk runs on m + 1 float64 cells a component
+  (``qwlab._step_numpy``); the other sites are exact zeros.
+* Mirror.  J(chi)(k) = (chi_1(-k), -chi_0(-k)) commutes with the R-walk and
+  J e1 = -e2, so the R-walk of e2 is y_0(k) = -x_1(-k), y_1(k) = x_0(-k),
+  read off the reversed arrays of the R-walk x of e1.
+
+Every spinor and mixture entry therefore costs O(n) on top of the one
+O(n^2) evolution of e1: chi = g_0 x + g_1 y, p = |chi_0|^2 + |chi_1|^2,
+translated to the entry's site.  R^T R = rho I with rho = |a|^2 + |b|^2,
+which the rounded |a| and |b| miss 1 by up to a few ulps; snapshot m is
+divided by rho^m (rho taken exactly), as if R / sqrt(rho) had been evolved,
+so the total does not drift by m (rho - 1).  ``evolve`` and
+``spectral.evolve_momentum`` are the engine's oracles in the tests.
+``KERNEL_BACKEND`` names the kernel in provenance records.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,7 +182,8 @@ class PositionDistribution:
     n: int
 
     def __post_init__(self):
-        # Roundoff drift grows with the step count; 1e-11 covers 1e4 steps.
+        # Rounding in the evolution moves the total by far less than 1e-11
+        # (1e-14 at n = 2^14); the coin's norm defect is divided out.
         total = float(np.sum(self.probs))
         if not (np.all(self.probs >= -1e-15) and abs(total - 1.0) <= 1e-11):
             raise ValueError("probabilities must be finite, nonnegative and sum to 1")
@@ -187,32 +211,13 @@ class PositionDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _evolved_probs(coin: CoinParams, phi, n: int, snapshots=None):
-    """Evolve delta_0 x phi for n steps, reporting probabilities at snapshots.
-
-    Returns a dict {m: probs} where probs covers sites [-m, m].  The buffer
-    is allocated once over the final light cone and advanced in segments, so
-    a whole geometric sweep costs a single evolution.
-    """
-    if snapshots is None:
-        snapshots = [n]
-    snapshots = sorted(set(int(m) for m in snapshots))
-    if snapshots and (snapshots[0] < 0 or snapshots[-1] != n):
-        raise ValueError("snapshots must be nonnegative and end at n")
-    L = 2 * n + 3
-    center = n + 1
-    amps = np.zeros((2, L), dtype=np.complex128)
-    amps[:, center] = _check_spinor(phi)
-    coin_mat = coin.matrix()
-    out = {}
-    lo = hi = center
-    prev = 0
-    for m in snapshots:
-        lo, hi = _kernel.evolve_steps(amps, coin_mat, m - prev, lo, hi)
-        prev = m
-        probs = np.sum(np.abs(amps[:, center - m : center + m + 1]) ** 2, axis=0)
-        out[m] = probs
-    return out
+def _gauged_rotation(coin: CoinParams):
+    """The real coin R of the gauged walk, the phase e^{i(arg b - arg a)} that
+    the gauge puts on a spinor's second component, and log rho."""
+    ca, cb = coin.abs_a, coin.abs_b
+    rho = Fraction(ca) ** 2 + Fraction(cb) ** 2
+    turn = coin.b * np.conj(coin.a) / (ca * cb)
+    return np.array([[ca, cb], [-cb, ca]]), turn, math.log1p(float(rho - 1))
 
 
 def distribution(coin: CoinParams, init: InitialState, n: int) -> PositionDistribution:
@@ -222,26 +227,51 @@ def distribution(coin: CoinParams, init: InitialState, n: int) -> PositionDistri
     return distribution_snapshots(coin, init, [n])[n]
 
 
+def footprint_bytes(init: InitialState, n_list) -> int:
+    """Peak bytes of ``distribution_snapshots(coin, init, n_list)``.
+
+    Counts 16 float64 per cell of the deepest light cone (the e1 buffer, the
+    kernel's rotated copy and the complex arrays of one entry's assembly)
+    plus every snapshot's probabilities; computed before anything is
+    allocated.
+    """
+    sites = [site for site, _, _ in init.entries]
+    span = max(sites) - min(sites)
+    n_list = [int(n) for n in n_list]
+    cells = 16 * (max(n_list) + 1) + sum(span + 2 * n + 1 for n in n_list)
+    return 8 * cells
+
+
 def distribution_snapshots(coin: CoinParams, init: InitialState, n_list):
-    """Distributions at several step counts from a single evolution per entry."""
+    """Distributions at several step counts from a single evolution of e1.
+
+    Snapshot n covers its own light cone, min(site) - n .. max(site) + n.
+    """
     n_list = sorted(set(int(n) for n in n_list))
     if n_list[0] < 0:
         raise ValueError("step counts must be nonnegative")
-    n_max = n_list[-1]
+    rot, turn, log_rho = _gauged_rotation(coin)
     sites = [site for site, _, _ in init.entries]
-    lo_site = min(sites) - n_max
-    hi_site = max(sites) + n_max
-    width = hi_site - lo_site + 1
+    lo_site, hi_site = min(sites), max(sites)
+    entries = [(site - lo_site, phi[0], turn * phi[1], w) for site, phi, w in init.entries]
 
-    acc = {n: np.zeros(width) for n in n_list}
-    for site, phi, w in init.entries:
-        per_n = _evolved_probs(coin, phi, n_max, snapshots=n_list)
-        for n in n_list:
-            j0 = (site - n) - lo_site
-            acc[n][j0 : j0 + 2 * n + 1] += w * per_n[n]
-    return {
-        n: PositionDistribution(offset=lo_site, probs=acc[n], n=n) for n in n_list
-    }
+    x = np.zeros((2, n_list[-1] + 1))
+    x[0, 0] = 1.0
+    out = {}
+    hi = prev = 0
+    for n in n_list:
+        _, hi = _kernel.evolve_steps(x, rot, n - prev, 0, hi)
+        prev = n
+        x0, x1 = x[:, : n + 1]
+        probs = np.zeros(hi_site - lo_site + 2 * n + 1)
+        scale = math.exp(-n * log_rho)
+        for shift, g0, g1, w in entries:
+            chi0 = g0 * x0 - g1 * x1[::-1]
+            chi1 = g0 * x1 + g1 * x0[::-1]
+            p = chi0.real**2 + chi0.imag**2 + chi1.real**2 + chi1.imag**2
+            probs[shift : shift + 2 * n + 1 : 2] += (w * scale) * p
+        out[n] = PositionDistribution(offset=lo_site - n, probs=probs, n=n)
+    return out
 
 
 class StepCDF:

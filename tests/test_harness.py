@@ -175,6 +175,23 @@ class TestCLI:
         assert cli_main(["simulate", "--phi", "nan,0,0,0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_simulate_refuses_oversized_n(self, capsys, monkeypatch):
+        from qwlab import cli
+
+        init = InitialState.pure(E1)
+        assert cli.simulate_bytes(init, 10**5) <= cli.MAX_SIMULATE_BYTES
+        n = cli.MAX_SIMULATE_BYTES // 1000  # at least 1 KB a site: over the cap
+        assert cli.simulate_bytes(init, n) > cli.MAX_SIMULATE_BYTES
+
+        def never(*args):
+            raise AssertionError("the size check must come before any evolution")
+
+        monkeypatch.setattr(cli, "distribution", never)
+        assert cli_main(["simulate", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err
+
     def test_limit_table(self, capsys):
         code = cli_main(["limit", "--preset", "hadamard", "--phi", "1,0,0,0", "--grid", "7"])
         out = capsys.readouterr().out

@@ -19,6 +19,7 @@ from qwlab.walk import (
 )
 
 SQ2 = np.sqrt(2.0)
+GENERIC_COIN = CoinParams(a=np.cos(0.7) * np.exp(0.3j), b=np.sin(0.7) * np.exp(-0.5j), theta=0.2)
 
 
 def coins(draw):
@@ -49,6 +50,32 @@ def spinors(draw):
         v = np.array([1.0, 0.0], dtype=complex)
         norm = 1.0
     return v / norm
+
+
+@st.composite
+def mixtures(draw):
+    """Two or three entries, the first two on sites of opposite parity."""
+    count = draw(st.integers(2, 3))
+    first = draw(st.integers(-5, 5))
+    sites = [first, first + 2 * draw(st.integers(-3, 3)) + 1]
+    sites += [draw(st.integers(-6, 6)) for _ in range(count - 2)]
+    raw = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    total = sum(raw)
+    return InitialState(tuple((s, draw(spinors()), r / total) for s, r in zip(sites, raw)))
+
+
+def evolve_loop(coin, init, n):
+    """(offset, p_n) from the complex full-lattice step loop of ``evolve``."""
+    sites = [site for site, _, _ in init.entries]
+    lo = min(sites) - n
+    probs = np.zeros(max(sites) + n - lo + 1)
+    for site, phi, w in init.entries:
+        state = WalkState.from_spinor(phi, site)
+        for _ in range(n):
+            state = evolve(coin, state)
+        j = state.offset - lo
+        probs[j : j + state.width] += w * state.site_probabilities()
+    return lo, probs
 
 
 class TestCoinParams:
@@ -209,6 +236,16 @@ class TestEvolution:
             for k in single.sites():
                 assert snaps[n].prob_at(k) == single.prob_at(k)
 
+    def test_snapshots_have_their_own_light_cone(self):
+        coin = hadamard_coin()
+        init = InitialState(((-3, [1, 0], 0.5), (4, [0, 1], 0.5)))
+        snaps = distribution_snapshots(coin, init, [5, 17, 40])
+        for n in (5, 17, 40):
+            single = distribution(coin, init, n)
+            assert snaps[n].offset == single.offset == -3 - n
+            assert len(snaps[n].probs) == len(single.probs) == 7 + 2 * n + 1
+            assert np.array_equal(snaps[n].probs, single.probs)
+
     def test_kernel_buffer_guard(self):
         from qwlab import _step_numpy
 
@@ -216,6 +253,54 @@ class TestEvolution:
         amps[0, 2] = 1.0
         with pytest.raises(ValueError):
             _step_numpy.evolve_steps(amps, hadamard_coin().matrix(), 3, 2, 2)
+
+
+class TestEngineOracles:
+    """The gauged sublattice engine against the ``evolve`` loop and momentum space."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coin=coin_strategy, init=mixtures(), n=st.integers(0, 200))
+    def test_matches_evolve_loop_with_exact_parity_zeros(self, coin, init, n):
+        d = distribution(coin, init, n)
+        lo, ref = evolve_loop(coin, init, n)
+        assert d.offset == lo and len(d.probs) == len(ref)
+        assert np.max(np.abs(d.probs - ref)) <= 1e-13
+        allowed = np.zeros(len(d.probs), dtype=bool)
+        for site, _, _ in init.entries:
+            allowed |= (d.sites() - site - n) % 2 == 0
+        assert np.all(d.probs[~allowed] == 0.0)
+        assert np.all(d.probs >= 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(phi=spinors(), n=st.integers(0, 200))
+    def test_hadamard_mirror(self, phi, n):
+        # sigma_z sigma_x phi = (phi_1, -phi_0) walks as phi reflected in 0
+        coin = hadamard_coin()
+        d = distribution(coin, InitialState.pure(phi), n)
+        m = distribution(coin, InitialState.pure([phi[1], -phi[0]]), n)
+        assert np.max(np.abs(m.probs - d.probs[::-1])) <= 1e-14
+
+    def test_matches_evolve_momentum_generic_coin(self):
+        init = InitialState(((0, [0.6, 0.8j], 0.4), (3, [0, 1], 0.6)))
+        sg = spectral.decompose(spectral.coin_step_momentum_walk(GENERIC_COIN), 2048)
+        d_pos = distribution(GENERIC_COIN, init, 512)
+        d_mom = spectral.evolve_momentum(sg, init, 512)
+        assert d_pos.offset == d_mom.offset
+        assert np.max(np.abs(d_pos.probs - d_mom.probs)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "coin",
+        [
+            hadamard_coin(),
+            GENERIC_COIN,
+            CoinParams(a=np.sqrt(0.1) * np.exp(2.1j), b=np.sqrt(0.9) * np.exp(4.0j), theta=5.0),
+        ],
+    )
+    def test_no_norm_drift(self, coin):
+        # the rounded |a|^2 + |b|^2 misses 1 by a few ulps; left in, that
+        # defect would move the total by n times as much
+        d = distribution(coin, InitialState.pure(np.array([1, 1j]) / SQ2), 2**14)
+        assert abs(d.probs.sum() - 1.0) <= 1e-14
 
 
 class TestStepCDF:
