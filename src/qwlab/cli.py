@@ -25,7 +25,8 @@ from .walk import (
     hadamard_coin,
 )
 
-# ``simulate`` refuses a call whose arrays and text would pass this size.
+# ``simulate`` and ``wavefront`` refuse a call whose arrays and text would
+# pass this size, before allocating them.
 MAX_SIMULATE_BYTES = 2**30
 # CSV or JSON text of one site plus the Python objects that build it
 # (tracemalloc peaks of a run at n = 20000: about 110 B a site for CSV and
@@ -117,15 +118,18 @@ def simulate_bytes(init: InitialState, n: int) -> int:
     return footprint_bytes(init, [n]) + _TEXT_BYTES_PER_SITE * (2 * n + 1)
 
 
+def _check_size(what: str, need: int) -> None:
+    if need > MAX_SIMULATE_BYTES:
+        raise ValueError(
+            f"{what} needs about {need} bytes, above the {MAX_SIMULATE_BYTES}-byte cap"
+        )
+
+
 def _cmd_simulate(args) -> int:
     coin = _parse_coin(args)
     init = InitialState.pure(_parse_phi(args))
     n = int(args.n if args.n is not None else 100)
-    need = simulate_bytes(init, n)
-    if need > MAX_SIMULATE_BYTES:
-        raise ValueError(
-            f"--n {n} needs about {need} bytes, above the {MAX_SIMULATE_BYTES}-byte cap"
-        )
+    _check_size(f"--n {n}", simulate_bytes(init, n))
     dist = distribution(coin, init, n)
     if args.format == "json":
         doc = {"n": n, "rows": [[int(k), float(p)] for k, p in zip(dist.sites(), dist.probs)]}
@@ -193,6 +197,7 @@ def _cmd_wavefront(args) -> int:
     phi = _parse_phi(args)
     init = InitialState.pure(phi)
     n_list = _parse_n_list(args.n_list if args.n_list is not None else "256:8192:x2")
+    _check_size(f"--n-list up to {max(n_list)}", footprint_bytes(init, n_list))
     wa = wavefront.WavefrontApprox(coin, phi)
     snaps = distribution_snapshots(coin, init, n_list)
     lines = ["n,quantity,value"]

@@ -14,27 +14,27 @@ The production engine evolves one real vector per walk:
   |psi_j|^2 = |chi_j|^2 at every site.  A spinor phi starts the R-walk at
   g = (phi_0, e^{i(arg b - arg a)} phi_1).
 * Sublattice.  After m steps only the sites k = 2j - m, j = 0..m, are
-  occupied, so the R-walk runs on m + 1 float64 cells a component
-  (``qwlab._step_numpy``); the other sites are exact zeros.
+  occupied, so the R-walk lives on m + 1 float64 cells a component; the
+  other sites are exact zeros.
+* Propagator.  ``qwlab._step_numpy`` evolves e1 to step m at once by the
+  closed form of the m-th power of the momentum-space step (Chebyshev
+  polynomials of the second kind, one FFT pair), in O(m log m).  It applies
+  R / sqrt(rho), rho = |a|^2 + |b|^2, so the few-ulp norm defect of the
+  rounded coin does not accumulate.
 * Mirror.  J(chi)(k) = (chi_1(-k), -chi_0(-k)) commutes with the R-walk and
   J e1 = -e2, so the R-walk of e2 is y_0(k) = -x_1(-k), y_1(k) = x_0(-k),
   read off the reversed arrays of the R-walk x of e1.
 
 Every spinor and mixture entry therefore costs O(n) on top of the one
-O(n^2) evolution of e1: chi = g_0 x + g_1 y, p = |chi_0|^2 + |chi_1|^2,
-translated to the entry's site.  R^T R = rho I with rho = |a|^2 + |b|^2,
-which the rounded |a| and |b| miss 1 by up to a few ulps; snapshot m is
-divided by rho^m (rho taken exactly), as if R / sqrt(rho) had been evolved,
-so the total does not drift by m (rho - 1).  ``evolve`` and
+evolution of e1: chi = g_0 x + g_1 y, p = |chi_0|^2 + |chi_1|^2,
+translated to the entry's site.  ``evolve`` and
 ``spectral.evolve_momentum`` are the engine's oracles in the tests.
 ``KERNEL_BACKEND`` names the kernel in provenance records.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from . import _step_numpy as _kernel
 KERNEL_BACKEND = "numpy"
 
 _UNIT_ATOL = 1e-12
+# Peak bytes of one snapshot's evolution and assembly per point of the
+# propagator's transform (tracemalloc peaks: about 140 B at n = 2^12 .. 2^18).
+_BYTES_PER_FFT_POINT = 160
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,8 @@ class PositionDistribution:
 
     def __post_init__(self):
         # Rounding in the evolution moves the total by far less than 1e-11
-        # (1e-14 at n = 2^14); the coin's norm defect is divided out.
+        # (below 1e-15 at n = 2^14 .. 2^20); the propagator applies the
+        # normalised coin, so the rounded coin's norm defect does not add up.
         total = float(np.sum(self.probs))
         if not (np.all(self.probs >= -1e-15) and abs(total - 1.0) <= 1e-11):
             raise ValueError("probabilities must be finite, nonnegative and sum to 1")
@@ -212,12 +216,11 @@ class PositionDistribution:
 
 
 def _gauged_rotation(coin: CoinParams):
-    """The real coin R of the gauged walk, the phase e^{i(arg b - arg a)} that
-    the gauge puts on a spinor's second component, and log rho."""
+    """The real coin R of the gauged walk, and the phase e^{i(arg b - arg a)}
+    that the gauge puts on a spinor's second component."""
     ca, cb = coin.abs_a, coin.abs_b
-    rho = Fraction(ca) ** 2 + Fraction(cb) ** 2
     turn = coin.b * np.conj(coin.a) / (ca * cb)
-    return np.array([[ca, cb], [-cb, ca]]), turn, math.log1p(float(rho - 1))
+    return np.array([[ca, cb], [-cb, ca]]), turn
 
 
 def distribution(coin: CoinParams, init: InitialState, n: int) -> PositionDistribution:
@@ -230,46 +233,44 @@ def distribution(coin: CoinParams, init: InitialState, n: int) -> PositionDistri
 def footprint_bytes(init: InitialState, n_list) -> int:
     """Peak bytes of ``distribution_snapshots(coin, init, n_list)``.
 
-    Counts 16 float64 per cell of the deepest light cone (the e1 buffer, the
-    kernel's rotated copy and the complex arrays of one entry's assembly)
-    plus every snapshot's probabilities; computed before anything is
-    allocated.
+    Counts _BYTES_PER_FFT_POINT for every point of the deepest snapshot's
+    transform (the propagator's spectra and phase tables, the e1 buffer and
+    one entry's assembly) plus every snapshot's probabilities; computed
+    before anything is allocated.
     """
     sites = [site for site, _, _ in init.entries]
     span = max(sites) - min(sites)
     n_list = [int(n) for n in n_list]
-    cells = 16 * (max(n_list) + 1) + sum(span + 2 * n + 1 for n in n_list)
-    return 8 * cells
+    size = _kernel.transform_size(max(n_list) + 1)
+    return _BYTES_PER_FFT_POINT * size + 8 * sum(span + 2 * n + 1 for n in n_list)
 
 
 def distribution_snapshots(coin: CoinParams, init: InitialState, n_list):
-    """Distributions at several step counts from a single evolution of e1.
+    """Distributions at several step counts, each from one evolution of e1.
 
-    Snapshot n covers its own light cone, min(site) - n .. max(site) + n.
+    Snapshot n covers its own light cone, min(site) - n .. max(site) + n,
+    and equals ``distribution(coin, init, n)`` bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if n_list[0] < 0:
         raise ValueError("step counts must be nonnegative")
-    rot, turn, log_rho = _gauged_rotation(coin)
+    rot, turn = _gauged_rotation(coin)
     sites = [site for site, _, _ in init.entries]
     lo_site, hi_site = min(sites), max(sites)
     entries = [(site - lo_site, phi[0], turn * phi[1], w) for site, phi, w in init.entries]
 
-    x = np.zeros((2, n_list[-1] + 1))
-    x[0, 0] = 1.0
     out = {}
-    hi = prev = 0
     for n in n_list:
-        _, hi = _kernel.evolve_steps(x, rot, n - prev, 0, hi)
-        prev = n
-        x0, x1 = x[:, : n + 1]
+        x = np.zeros((2, n + 1))
+        x[0, 0] = 1.0
+        _kernel.evolve_steps(x, rot, n, 0, 0)
+        x0, x1 = x
         probs = np.zeros(hi_site - lo_site + 2 * n + 1)
-        scale = math.exp(-n * log_rho)
         for shift, g0, g1, w in entries:
             chi0 = g0 * x0 - g1 * x1[::-1]
             chi1 = g0 * x1 + g1 * x0[::-1]
             p = chi0.real**2 + chi0.imag**2 + chi1.real**2 + chi1.imag**2
-            probs[shift : shift + 2 * n + 1 : 2] += (w * scale) * p
+            probs[shift : shift + 2 * n + 1 : 2] += w * p
         out[n] = PositionDistribution(offset=lo_site - n, probs=probs, n=n)
     return out
 

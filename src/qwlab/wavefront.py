@@ -2,10 +2,10 @@
 
 Near the ballistic fronts at sites +- n|a| the transition probabilities
 follow an Airy-squared profile on the n^{1/3} scale; this module provides
-Ai(x) on a checked range (from scipy), the leading-order wavefront
-approximation of p_n, scaled tail masses at the fronts, and the
-oscillatory-sum experiments that probe the cancellation rates behind the
-n^{-1/3} convergence.
+Ai(x) on a checked range (from scipy, loaded on first use), the
+leading-order wavefront approximation of p_n, scaled tail masses at the
+fronts, and the oscillatory-sum experiments that probe the cancellation
+rates behind the n^{-1/3} convergence.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .konno import lambda_c
 from .walk import CoinParams, PositionDistribution, _check_spinor
@@ -31,8 +30,11 @@ def airy(x):
     """Airy function Ai(x) on [-100, 20], evaluated by ``scipy.special.airy``.
 
     Arguments outside the interval raise OutOfSupportedRange; the test suite
-    checks the values against a 40-digit oracle.
+    checks the values against a 40-digit oracle.  ``scipy.special`` is
+    imported here, its only use, so that importing qwlab loads no scipy.
     """
+    from scipy import special
+
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < -100.0) or np.any(xs > 20.0):
         raise OutOfSupportedRange("airy() is validated on [-100, 20] only")

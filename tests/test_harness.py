@@ -192,6 +192,23 @@ class TestCLI:
         assert captured.out == ""
         assert "cap" in captured.err
 
+    def test_wavefront_refuses_oversized_n_list(self, capsys, monkeypatch):
+        from qwlab import cli
+        from qwlab.walk import footprint_bytes
+
+        init = InitialState.pure(E1)
+        assert footprint_bytes(init, [256, 8192]) <= cli.MAX_SIMULATE_BYTES
+        assert footprint_bytes(init, [10**9]) > cli.MAX_SIMULATE_BYTES
+
+        def never(*args):
+            raise AssertionError("the size check must come before any evolution")
+
+        monkeypatch.setattr(cli, "distribution_snapshots", never)
+        assert cli_main(["wavefront", "--n-list", "256," + str(10**9)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err
+
     def test_limit_table(self, capsys):
         code = cli_main(["limit", "--preset", "hadamard", "--phi", "1,0,0,0", "--grid", "7"])
         out = capsys.readouterr().out
@@ -209,17 +226,30 @@ class TestCLI:
         xs = np.linspace(-1.0, 1.0, 201)
         assert doc["rows"] == [[float(x), float(kc.density(x)), float(kc.cdf(x))] for x in xs]
 
-    def test_import_loads_no_optimize_or_integrate(self):
-        # scipy.optimize and scipy.integrate serve test oracles only
+    def test_import_loads_no_scipy_until_airy(self):
+        # set-up (import and the smoothing constant) loads no scipy module;
+        # the first Ai evaluation loads scipy.special and is still exact
+        mpmath = pytest.importorskip("mpmath")
         src = os.path.dirname(os.path.dirname(os.path.abspath(qwlab.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
-            "import sys, qwlab.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+            "import json, sys\n"
+            "import qwlab.cli\n"
+            "from qwlab import metrics, wavefront\n"
+            "metrics.default_weights()\n"
+            "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "xs = [-20.0, -7.5, -1.0, 0.0, 2.5, 5.5]\n"
+            "vals = [float(v) for v in wavefront.airy(xs)]\n"
+            "print(json.dumps([before, 'scipy.special' in sys.modules, xs, vals]))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        before, loaded, xs, vals = json.loads(out.stdout)
+        assert before == []
+        assert loaded
+        mpmath.mp.dps = 40
+        oracle = [float(mpmath.airyai(mpmath.mpf(x))) for x in xs]
+        assert np.max(np.abs(np.array(vals) - oracle)) < 1e-10
 
     def test_rates_csv_and_slopes(self, tmp_path, capsys):
         out_path = tmp_path / "rates.csv"

@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwlab
-from qwlab import spectral
+from qwlab import _step_numpy, spectral
 from qwlab.walk import (
     CoinParams,
     InitialState,
@@ -20,6 +23,11 @@ from qwlab.walk import (
 
 SQ2 = np.sqrt(2.0)
 GENERIC_COIN = CoinParams(a=np.cos(0.7) * np.exp(0.3j), b=np.sin(0.7) * np.exp(-0.5j), theta=0.2)
+ORACLE_COINS = [
+    hadamard_coin(),
+    GENERIC_COIN,
+    CoinParams(a=np.sqrt(0.1) * np.exp(2.1j), b=np.sqrt(0.9) * np.exp(4.0j), theta=5.0),
+]
 
 
 def coins(draw):
@@ -76,6 +84,29 @@ def evolve_loop(coin, init, n):
         j = state.offset - lo
         probs[j : j + state.width] += w * state.site_probabilities()
     return lo, probs
+
+
+def loop_evolve_steps(amps, coin, steps, lo, hi):
+    """``_step_numpy.evolve_steps`` as the O(steps^2) sublattice step loop.
+
+    Steps the real coin R cell by cell, then divides by rho^(steps/2),
+    rho = A^2 + B^2 taken exactly, which is the walk of R / sqrt(rho).
+    """
+    L = amps.shape[1]
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if lo < 0 or hi + steps > L - 1:
+        raise ValueError("amplitude buffer too small for requested steps")
+    x0, x1 = amps
+    for _ in range(steps):
+        rotated = coin @ amps[:, lo : hi + 1]
+        x1[lo : hi + 1] = rotated[1]
+        x0[lo + 1 : hi + 2] = rotated[0]
+        x0[lo] = 0.0
+        hi += 1
+    rho = Fraction(float(coin[0][0])) ** 2 + Fraction(float(coin[0][1])) ** 2
+    amps[:, lo : hi + 1] *= math.exp(-0.5 * steps * math.log1p(float(rho - 1)))
+    return lo, hi
 
 
 class TestCoinParams:
@@ -288,14 +319,23 @@ class TestEngineOracles:
         assert d_pos.offset == d_mom.offset
         assert np.max(np.abs(d_pos.probs - d_mom.probs)) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "coin",
-        [
-            hadamard_coin(),
-            GENERIC_COIN,
-            CoinParams(a=np.sqrt(0.1) * np.exp(2.1j), b=np.sqrt(0.9) * np.exp(4.0j), theta=5.0),
-        ],
-    )
+    @pytest.mark.parametrize("coin", ORACLE_COINS)
+    def test_closed_form_matches_step_loop(self, coin, monkeypatch):
+        init = InitialState(((0, np.array([1, 1j]) / SQ2, 0.6), (3, [0.6, 0.8j], 0.4)))
+        ns = (1, 2, 7, 128, 1024, 8192, 2**14)
+        closed = distribution_snapshots(coin, init, ns)
+        monkeypatch.setattr(_step_numpy, "evolve_steps", loop_evolve_steps)
+        loop = distribution_snapshots(coin, init, ns)
+        for n in ns:
+            d, ref = closed[n], loop[n]
+            assert d.offset == ref.offset and len(d.probs) == len(ref.probs)
+            assert np.max(np.abs(d.probs - ref.probs)) <= 1e-14
+            allowed = np.zeros(len(d.probs), dtype=bool)
+            for site, _, _ in init.entries:
+                allowed |= (d.sites() - site - n) % 2 == 0
+            assert np.all(d.probs[~allowed] == 0.0)
+
+    @pytest.mark.parametrize("coin", ORACLE_COINS)
     def test_no_norm_drift(self, coin):
         # the rounded |a|^2 + |b|^2 misses 1 by a few ulps; left in, that
         # defect would move the total by n times as much
@@ -331,14 +371,13 @@ class TestStepCDF:
             rescaled_cdf(d)
 
     def test_generic_coin_overshoot(self):
-        # a generic coin whose running sum of p_n passes 1 by roundoff a few
-        # sites before the right edge; snapping only the last value to 1
-        # would leave the CDF decreasing there
-        tau = 0.7
-        coin = CoinParams(
-            a=np.cos(tau) * np.exp(0.3j), b=np.sin(tau) * np.exp(-0.5j), theta=0.2
-        )
-        d = distribution(coin, InitialState.pure([1, 0]), 64)
+        # a distribution whose running sum passes 1 by roundoff a few sites
+        # before the right edge, as rounded evolutions give; snapping only
+        # the last value to 1 would leave the CDF decreasing there
+        probs = np.zeros(13)
+        probs[0:7:2] = [0.125, 0.25, 0.125, 0.5 + 2.0**-52]
+        probs[8:13:2] = 1e-20
+        d = PositionDistribution(offset=-6, probs=probs, n=6)
         assert np.cumsum(d.probs)[-1] != 1.0
         assert np.max(np.cumsum(d.probs)) > 1.0
         cdf = rescaled_cdf(d)
