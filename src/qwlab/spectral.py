@@ -1,11 +1,17 @@
 """Momentum-space analysis of translation-invariant walks with finite coin.
 
 A translation-invariant step operator acts in momentum space as a p-dependent
-d x d unitary W(p).  This module eigendecomposes W(p) on a uniform grid over
-[0, 2pi), tracks continuous eigenphase bands across the grid (including
-winding and band permutation at the 2pi seam), differentiates them to obtain
-group velocities and curvatures, and builds the asymptotic-velocity CDF and
-characteristic functions used by the convergence-rate experiments.
+d x d unitary W(p).  This module finds the eigenphase bands of W(p) on a
+uniform grid over [0, 2pi), with their group velocities and curvatures, and
+builds the asymptotic-velocity CDF and characteristic functions used by the
+convergence-rate experiments.
+
+For a two-band coin walk the bands, their derivatives and the spectral
+projectors have a closed form (see :func:`decompose`).  Any other walk is
+eigendecomposed point by point, its continuous bands are tracked across the
+grid (including winding and band permutation at the 2pi seam) and
+differentiated by finite differences; that path is the coin walks' oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ class BranchTrackingFailure(Exception):
 
 
 class GridTooCoarse(Exception):
-    """Finite-difference derivatives failed their grid-halving check."""
+    """Finite-difference derivatives failed their grid-halving check.
+
+    Only walks without a coin take finite differences; a coin walk's
+    derivatives are exact at every grid size.
+    """
 
 
 _DEGENERACY_GAP = 1e-6
@@ -37,7 +47,12 @@ _DEGENERACY_GAP = 1e-6
 
 @dataclass(frozen=True)
 class MomentumWalk:
-    """Momentum representation of a walk: p in [0, 2pi) -> d x d unitary."""
+    """Momentum representation of a walk: p in [0, 2pi) -> d x d unitary.
+
+    ``coin`` is set for the coin walk W(p) = diag(e^{ip}, e^{-ip}) C of
+    :func:`coin_step_momentum_walk`; its spectral data are then taken in
+    closed form.
+    """
 
     dim: int
     unitary_at: Callable[[float], np.ndarray]
@@ -137,6 +152,14 @@ def _wrap_angle(x):
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
+def _small_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of small d x d matrices, one outer product per inner index.
+
+    For d = 2 this is several times faster than numpy's batched matmul.
+    """
+    return sum(x[..., :, i, None] * y[..., None, i, :] for i in range(x.shape[-1]))
+
+
 def _pair_costs(phases, projs, next_phases, next_projs) -> np.ndarray:
     """cost[j, r, c] of continuing raw eigenpair r of point j as pair c of the next.
 
@@ -184,8 +207,56 @@ def _compose_prefix(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
-    """Eigendecompose W(p) on M uniform midpoint momenta and track bands.
+def _coin_bands(coin: CoinParams, ps: np.ndarray):
+    """The closed-form bands of the coin walk at momenta ``ps``.
+
+    With q = p + arg a, W(p) = e^{i theta} sqrt(rho) (cos(alpha) I +
+    i sin(alpha) n.sigma), rho = |a|^2 + |b|^2, where
+
+        s = sqrt(|b|^2 + |a|^2 sin^2 q),   alpha = arctan2(s, |a| cos q),
+        n = (Im(b e^{ip}), Re(b e^{ip}), |a| sin q) / s,
+
+    so the bands are theta +- alpha with projectors (I +- n.sigma) / 2; the
+    factor sqrt(rho) is dropped, as the evolution kernel drops it.  s >= |b|
+    keeps alpha in (0, pi): the two bands never meet and both are periodic.
+
+    Returns (signs, lift, sin_q, cos_q, s, alpha).  Band k is
+    theta + lift[k] + signs[k] alpha(p); as for the tracked bands, band k
+    starts at the k-th smallest raw angle in (-pi, pi] at ps[0], and the
+    lift (a multiple of 2pi) makes that start the raw angle.
+    """
+    q = ps + np.angle(coin.a)
+    sin_q, cos_q = np.sin(q), np.cos(q)
+    s = np.sqrt(coin.abs_b**2 + (coin.abs_a * sin_q) ** 2)
+    alpha = np.arctan2(s, coin.abs_a * cos_q)
+    signs = np.array([1.0, -1.0])
+    start = coin.theta + signs * alpha[0]
+    raw0 = _wrap_angle(start)
+    order = np.argsort(raw0)
+    lift = 2.0 * np.pi * np.rint((raw0 - start) / (2.0 * np.pi))
+    return signs[order], lift[order], sin_q, cos_q, s, alpha
+
+
+def _closed_form_bands(coin: CoinParams, ps: np.ndarray):
+    """(omega, projectors) of the coin walk; raises DegenerateSpectrum."""
+    signs, lift, sin_q, _, s, alpha = _coin_bands(coin, ps)
+    gap = np.minimum(2.0 * alpha, 2.0 * np.pi - 2.0 * alpha).min()
+    if gap < _DEGENERACY_GAP:
+        raise DegenerateSpectrum(f"eigenphase gap {gap:.3e} below {_DEGENERACY_GAP:.0e}")
+    omega = (coin.theta + lift)[:, None] + signs[:, None] * alpha[None, :]
+    n_z = coin.abs_a * sin_q / s
+    n_minus = -1j * coin.b * np.exp(1j * ps) / s  # n_x - i n_y
+    projectors = np.empty((2, len(ps), 2, 2), dtype=np.complex128)
+    for k, sign in enumerate(signs):
+        projectors[k, :, 0, 0] = 0.5 * (1.0 + sign * n_z)
+        projectors[k, :, 1, 1] = 0.5 * (1.0 - sign * n_z)
+        projectors[k, :, 0, 1] = (0.5 * sign) * n_minus
+        projectors[k, :, 1, 0] = np.conj(projectors[k, :, 0, 1])
+    return omega, projectors
+
+
+def _tracked_bands(Ws: np.ndarray):
+    """(omega, projectors, seam_perm, seam_offset) from eig and band tracking.
 
     The raw eigenpairs of consecutive grid points are matched by the
     least-cost permutation of :func:`_pair_costs`.  The match does not
@@ -194,25 +265,8 @@ def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
     starts at the k-th smallest phase.  ``omega`` is the raw phase plus 2pi
     times the band's cumulative integer winding, so unwrapping adds no
     floating-point drift along the grid.
-
-    Raises DegenerateSpectrum when eigenphases at a grid point are closer
-    than 1e-6 (circularly), and BranchTrackingFailure when band continuity
-    |omega_k(p_{j+1}) - omega_k(p_j)| < pi/4 cannot be achieved.  For
-    two-dimensional coin walks the tracked bands are validated against the
-    closed-form dispersion relation cos(omega - theta) = |a| cos(p + arg a).
     """
-    if M < 64 or M % 2:
-        raise ValueError("grid size must be even and at least 64")
-    d = walk.dim
-    # Midpoint grid: avoids the symmetry momenta p = 0 and p = pi, where
-    # walks such as the free shift have exact band crossings.
-    ps = 2.0 * np.pi * (np.arange(M) + 0.5) / M
-    Ws = walk.unitary_batch(ps)
-
-    dev = np.abs(Ws @ np.conj(np.swapaxes(Ws, 1, 2)) - np.eye(d))
-    if dev.max() > 1e-12:
-        raise ValueError("unitary_at produced a non-unitary matrix")
-
+    M, d, _ = Ws.shape
     vals, vecs = np.linalg.eig(Ws)
     phases = np.angle(vals)  # (M, d)
 
@@ -265,6 +319,45 @@ def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
     if np.abs(windings - np.round(windings)).max() > 1e-9:
         raise BranchTrackingFailure("seam continuation offset is not a 2pi multiple")
     seam_offset = 2.0 * np.pi * np.round(windings)
+    return omega, projectors, seam_perm, seam_offset
+
+
+def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
+    """The eigenphase bands and spectral projectors of W(p) on M midpoint momenta.
+
+    A coin walk (``walk.coin`` set) takes the closed form of
+    :func:`_coin_bands`: bands theta +- alpha(p), Hermitian rank-one
+    projectors, the identity seam permutation and zero seam offsets.  Any
+    other walk is eigendecomposed point by point and its bands are tracked
+    (:func:`_tracked_bands`).  The derivative fields are left empty; see
+    :func:`derivatives`.
+
+    Raises ValueError when W(p) is not unitary within 1e-12,
+    DegenerateSpectrum when eigenphases at a grid point are closer than
+    1e-6 (circularly), and BranchTrackingFailure when band continuity
+    |omega_k(p_{j+1}) - omega_k(p_j)| < pi/4 cannot be achieved or the
+    result fails its checks: reconstruction of W(p) within 1e-9, resolution
+    of identity and idempotency within 1e-10 and, for coin walks, the
+    dispersion relation cos(omega - theta) = |a| cos(p + arg a) within 1e-9.
+    """
+    if M < 64 or M % 2:
+        raise ValueError("grid size must be even and at least 64")
+    d = walk.dim
+    # Midpoint grid: avoids the symmetry momenta p = 0 and p = pi, where
+    # walks such as the free shift have exact band crossings.
+    ps = 2.0 * np.pi * (np.arange(M) + 0.5) / M
+    Ws = walk.unitary_batch(ps)
+
+    dev = np.abs(_small_matmul(Ws, np.conj(np.swapaxes(Ws, 1, 2))) - np.eye(d))
+    if dev.max() > 1e-12:
+        raise ValueError("unitary_at produced a non-unitary matrix")
+
+    coin = walk.coin
+    if coin is not None:
+        omega, projectors = _closed_form_bands(coin, ps)
+        seam_perm, seam_offset = np.arange(2), np.zeros(2)
+    else:
+        omega, projectors, seam_perm, seam_offset = _tracked_bands(Ws)
 
     recon = np.einsum("kj,kjab->jab", np.exp(1j * omega), projectors)
     frob = np.sqrt(np.sum(np.abs(recon - Ws) ** 2, axis=(1, 2)))
@@ -274,14 +367,11 @@ def decompose(walk: MomentumWalk, M: int = 2**14) -> SpectralGrid:
         )
 
     proj_sum_dev = np.abs(projectors.sum(axis=0) - np.eye(d)).max()
-    idem_dev = np.abs(
-        np.einsum("kjab,kjbc->kjac", projectors, projectors) - projectors
-    ).max()
+    idem_dev = np.abs(_small_matmul(projectors, projectors) - projectors).max()
     if proj_sum_dev > 1e-10 or idem_dev > 1e-10:
         raise BranchTrackingFailure("projectors fail resolution-of-identity check")
 
-    if walk.coin is not None:
-        coin = walk.coin
+    if coin is not None:
         lhs = np.cos(omega - coin.theta)
         rhs = coin.abs_a * np.cos(ps + np.angle(coin.a))
         if np.abs(lhs - rhs[None, :]).max() > 1e-9:
@@ -348,12 +438,29 @@ def _coarse_sup_curvature(sg: SpectralGrid) -> float:
 def derivatives(sg: SpectralGrid) -> SpectralGrid:
     """Fill group velocities, curvatures and projector-derivative norms.
 
-    Uses fourth-order central differences on the periodic grid.  The
-    curvature supremum over the half grid's momenta is validated against a
-    half-grid recomputation (raises GridTooCoarse if they differ by more
-    than 1e-6), and for coin walks the velocities are cross-checked against
-    the analytic derivative of the dispersion relation.
+    For a coin walk they are exact: with q, s and the band signs of
+    :func:`_coin_bands`, omega' = +-|a| sin q / s,
+    omega'' = +-|a| |b|^2 cos q / s^3 and ||Pi'|| = |n'| / 2 =
+    |b| sqrt(rho) / (2 s^2).  Any other walk takes fourth-order central
+    differences on the periodic grid; the curvature supremum over the half
+    grid's momenta is validated against a half-grid recomputation (raises
+    GridTooCoarse if they differ by more than 1e-6).
     """
+    coin = sg.walk.coin
+    if coin is not None:
+        signs, _, sin_q, cos_q, s, _ = _coin_bands(coin, sg.ps)
+        A, B = coin.abs_a, coin.abs_b
+        rho = A * A + B * B
+        velocity = signs[:, None] * (A * sin_q / s)[None, :]
+        curvature = signs[:, None] * (A * B * B * cos_q / s**3)[None, :]
+        pd = B * np.sqrt(rho) / (2.0 * s * s)
+        return replace(
+            sg,
+            velocity=velocity,
+            curvature=curvature,
+            proj_deriv_norm=np.stack([pd, pd]),
+        )
+
     M = sg.grid_size
     h = 2.0 * np.pi / M
     ext_omega, ext_proj = _extend_band_values(sg)
@@ -365,13 +472,6 @@ def derivatives(sg: SpectralGrid) -> SpectralGrid:
     if abs(float(np.abs(curvature[:, ::2]).max()) - _coarse_sup_curvature(sg)) > 1e-6:
         raise GridTooCoarse("sup |omega''| not stable under grid halving")
 
-    if sg.walk.coin is not None:
-        coin = sg.walk.coin
-        sin_w = np.sin(sg.omega - coin.theta)
-        analytic = coin.abs_a * np.sin(sg.ps + np.angle(coin.a))[None, :] / sin_w
-        if np.abs(velocity - analytic).max() > 1e-8:
-            raise GridTooCoarse("group velocity disagrees with analytic dispersion")
-
     dmat, _ = _fd_derivatives(ext_proj, h, M)
     svals = np.linalg.svd(dmat, compute_uv=False)
     proj_deriv_norm = svals[..., 0]
@@ -382,11 +482,21 @@ def derivatives(sg: SpectralGrid) -> SpectralGrid:
 
 
 def bound_constants(sg: SpectralGrid, init: InitialState) -> BoundConstants:
-    """Curvature/projector/moment constants for the triangle bound."""
+    """Curvature/projector/moment constants for the triangle bound.
+
+    For a coin walk the suprema over all momenta, attained at cos q = +-1:
+    sup|omega''| = |a| / |b| and sum_k sup||Pi_k'|| = sqrt(rho) / |b|.  For
+    any other walk, the maxima over the grid.
+    """
     if not sg.has_derivatives():
         raise ValueError("derivatives not filled; call derivatives() first")
-    sup_curv = float(np.abs(sg.curvature).max())
-    sum_pd = float(np.sum(sg.proj_deriv_norm.max(axis=1)))
+    coin = sg.walk.coin
+    if coin is not None:
+        sup_curv = coin.abs_a / coin.abs_b
+        sum_pd = float(np.hypot(coin.abs_a, coin.abs_b)) / coin.abs_b
+    else:
+        sup_curv = float(np.abs(sg.curvature).max())
+        sum_pd = float(np.sum(sg.proj_deriv_norm.max(axis=1)))
     return BoundConstants(
         sup_curvature=sup_curv,
         sum_proj_deriv=sum_pd,

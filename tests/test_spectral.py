@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import linear_sum_assignment
 
 import qwlab
-from qwlab import konno, spectral
+from qwlab import harness, konno, spectral
 from qwlab.spectral import (
     BranchTrackingFailure,
     DegenerateSpectrum,
@@ -21,6 +22,7 @@ from qwlab.spectral import (
     velocity_cdf,
     VelocityCDF,
 )
+from test_walk import coin_strategy
 from qwlab.walk import (
     CoinParams,
     InitialState,
@@ -34,6 +36,14 @@ GENERIC_COIN = CoinParams(
     a=np.sqrt(0.4) * np.exp(0.7j), b=np.sqrt(0.6) * np.exp(-1.1j), theta=0.3
 )
 GENERIC_PHI = np.array([0.6, 0.8 * np.exp(1.3j)])
+
+
+def eig_walk(coin) -> MomentumWalk:
+    """The coin walk's W(p) without its coin, so decompose takes the eig path."""
+    walk = coin_step_momentum_walk(coin)
+    general = MomentumWalk(dim=2, unitary_at=walk.unitary_at)
+    object.__setattr__(general, "unitary_batch", walk.unitary_batch)
+    return general
 
 
 # -- the band tracker as a loop of Hungarian assignments (oracle) -----------
@@ -92,8 +102,8 @@ def _crossing_walk(p):
 
 
 TRACKED_WALKS = {
-    "hadamard": coin_step_momentum_walk(hadamard_coin()),
-    "generic": coin_step_momentum_walk(GENERIC_COIN),
+    "hadamard": eig_walk(hadamard_coin()),
+    "generic": eig_walk(GENERIC_COIN),
     "free_shift": free_shift_walk(),
     "cyclic3": MomentumWalk(dim=3, unitary_at=_cyclic_walk),
     "crossing3": MomentumWalk(dim=3, unitary_at=_crossing_walk),
@@ -217,7 +227,7 @@ class TestDerivatives:
         # different momenta for this coin: 2.1e-6 apart at M = 2^12, while
         # the full grid's even indices match the half grid to 4e-10
         coin = CoinParams(np.sqrt(0.5) * np.exp(0.301j), np.sqrt(0.5), 0.0)
-        sg = derivatives(decompose(coin_step_momentum_walk(coin), 2**12))
+        sg = derivatives(decompose(eig_walk(coin), 2**12))
         assert sg.has_derivatives()
 
     @pytest.mark.parametrize(
@@ -229,7 +239,7 @@ class TestDerivatives:
     )
     def test_coarse_grid_still_raises(self, coin, M):
         with pytest.raises(GridTooCoarse):
-            derivatives(decompose(coin_step_momentum_walk(coin), M))
+            derivatives(decompose(eig_walk(coin), M))
 
     def test_proj_deriv_sum(self, hadamard_grid):
         total = hadamard_grid.proj_deriv_norm.max(axis=1).sum()
@@ -241,6 +251,86 @@ class TestDerivatives:
         assert consts.abs_position_moment == pytest.approx(4.0)
         assert consts.sup_curvature > 0
         assert consts.sum_proj_deriv > 0
+
+
+class TestClosedForm:
+    """Coin walks in closed form against eig, band tracking and differences."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(coin=coin_strategy)
+    def test_matches_the_eig_path(self, coin):
+        closed = decompose(coin_step_momentum_walk(coin), 2**12)
+        tracked = decompose(eig_walk(coin), 2**12)
+        assert np.abs(closed.omega - tracked.omega).max() < 1e-14
+        assert np.abs(closed.projectors - tracked.projectors).max() < 1e-14
+        assert np.array_equal(closed.seam_perm, tracked.seam_perm)
+        assert np.array_equal(closed.seam_offset, tracked.seam_offset)
+        hermitian = np.conj(np.swapaxes(closed.projectors, 2, 3))
+        assert np.array_equal(closed.projectors, hermitian)
+
+    @settings(max_examples=15, deadline=None)
+    @given(coin=coin_strategy)
+    def test_derivatives_match_finite_differences(self, coin):
+        # The differences' truncation error is about 0.27 h^4 |a|^5 / |b|^4
+        # in the velocity: 2.9e-9 at M = 2^12 for |b| = sin 0.15, the edge
+        # of the strategy, and 1.8e-10 at M = 2^13.  ||Pi'|| carries one
+        # more power of 1 / |b|: 3.4e-9 there at M = 2^13.
+        exact = derivatives(decompose(coin_step_momentum_walk(coin), 2**13))
+        fd = derivatives(decompose(eig_walk(coin), 2**13))
+        assert np.abs(exact.velocity - fd.velocity).max() < 1e-9
+        assert np.abs(exact.curvature - fd.curvature).max() < 1e-6
+        assert np.abs(exact.proj_deriv_norm - fd.proj_deriv_norm).max() < 1e-8
+
+    @pytest.mark.parametrize("make_walk", [coin_step_momentum_walk, eig_walk], ids=["closed", "eig"])
+    def test_nearly_diagonal_coin_is_degenerate(self, make_walk):
+        # |b| = 1e-7 and q = p + arg a = 0 at the first grid point, where the
+        # bands theta +- alpha are 2e-7 apart
+        M = 256
+        coin = CoinParams(np.sqrt(1.0 - 1e-14) * np.exp(-1j * np.pi / M), 1e-7, 0.4)
+        with pytest.raises(DegenerateSpectrum):
+            decompose(make_walk(coin), M)
+
+    @pytest.mark.parametrize("defect", [0.99e-12, -0.99e-12])
+    def test_coin_at_the_norm_tolerance(self, defect):
+        scale = np.sqrt(1.0 + defect)
+        coin = CoinParams(GENERIC_COIN.a * scale, GENERIC_COIN.b * scale, GENERIC_COIN.theta)
+        rough = derivatives(decompose(coin_step_momentum_walk(coin), 2**12))
+        unit = derivatives(decompose(coin_step_momentum_walk(GENERIC_COIN), 2**12))
+        for field in ("omega", "projectors", "velocity", "curvature", "proj_deriv_norm"):
+            assert np.abs(getattr(rough, field) - getattr(unit, field)).max() < 1e-12
+
+    @pytest.mark.parametrize("abs_a2", [0.02, 0.13, 0.5, 0.77, 0.98])
+    def test_bound_constants_are_the_exact_suprema(self, abs_a2):
+        coin = CoinParams(
+            np.sqrt(abs_a2) * np.exp(0.4j), np.sqrt(1.0 - abs_a2) * np.exp(-2.0j), 1.1
+        )
+        sg = derivatives(decompose(coin_step_momentum_walk(coin), 2**12))
+        consts = bound_constants(sg, InitialState.pure(E1))
+        A, B = coin.abs_a, coin.abs_b
+        assert consts.sup_curvature == pytest.approx(A / B, rel=1e-15)
+        assert consts.sum_proj_deriv == pytest.approx(np.sqrt(A * A + B * B) / B, rel=1e-15)
+        assert consts.sup_curvature >= np.abs(sg.curvature).max()
+        assert consts.sum_proj_deriv >= sg.proj_deriv_norm.max(axis=1).sum()
+
+    def test_hadamard_bound_constants(self, hadamard_grid):
+        # the grid maximum of |omega''| at M = 2^14 falls short of the exact 1
+        consts = bound_constants(hadamard_grid, InitialState.pure(E1))
+        assert consts.sup_curvature == pytest.approx(1.0, rel=1e-15)
+        assert consts.sum_proj_deriv == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert np.abs(hadamard_grid.curvature).max() < 1.0
+
+    def test_coin_walks_never_reach_eig(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coin walk reached the eig path")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        sg = derivatives(decompose(coin_step_momentum_walk(GENERIC_COIN), 2**16))
+        assert sg.has_derivatives()
+        report = harness.run_bound_battery(
+            GENERIC_COIN, InitialState.pure(GENERIC_PHI), [0.5, 2.0], [16, 64]
+        )
+        assert report.all_ok
 
 
 class TestVelocityCDF:
