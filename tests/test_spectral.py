@@ -22,7 +22,6 @@ from qwlab.spectral import (
     velocity_cdf,
     VelocityCDF,
 )
-from test_walk import coin_strategy
 from qwlab.walk import (
     CoinParams,
     InitialState,
@@ -30,6 +29,7 @@ from qwlab.walk import (
     distribution_snapshots,
     hadamard_coin,
 )
+from test_walk import coin_strategy
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 GENERIC_COIN = CoinParams(
