@@ -1,24 +1,24 @@
+import dataclasses
+import importlib.util
+import inspect
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.optimize import linear_sum_assignment
 
-import qwlab
 from qwlab import harness, konno, spectral
 from qwlab.spectral import (
-    BranchTrackingFailure,
     DegenerateSpectrum,
-    GridTooCoarse,
     MomentumWalk,
     bound_constants,
     char_fn_finite,
     char_fn_limit,
-    check_triangle_bound,
     coin_step_momentum_walk,
     decompose,
     derivatives,
     evolve_momentum,
-    free_shift_walk,
     velocity_cdf,
     VelocityCDF,
 )
@@ -26,7 +26,6 @@ from qwlab.walk import (
     CoinParams,
     InitialState,
     distribution,
-    distribution_snapshots,
     hadamard_coin,
 )
 from test_walk import coin_strategy
@@ -38,76 +37,77 @@ GENERIC_COIN = CoinParams(
 GENERIC_PHI = np.array([0.6, 0.8 * np.exp(1.3j)])
 
 
-def eig_walk(coin) -> MomentumWalk:
-    """The coin walk's W(p) without its coin, so decompose takes the eig path."""
-    walk = coin_step_momentum_walk(coin)
-    general = MomentumWalk(dim=2, unitary_at=walk.unitary_at)
-    object.__setattr__(general, "unitary_batch", walk.unitary_batch)
-    return general
-
-
-# -- the band tracker as a loop of Hungarian assignments (oracle) -----------
-
-
-def _match_bands(prev_omega, prev_proj, phases, projs) -> np.ndarray:
-    """Assign the eigenpairs of one grid point to the tracked bands."""
-    cost = np.abs(spectral._wrap_angle(prev_omega[:, None] - phases[None, :]))
-    cost += np.sqrt(
-        np.sum(np.abs(prev_proj[:, None] - projs[None, :]) ** 2, axis=(2, 3))
-    )
-    _, cols = linear_sum_assignment(cost)
-    return cols
+# -- eig, band tracking and differences (the oracle) ------------------------
+#
+# The general algorithm for d bands: eig at every grid point, the eigenpairs
+# matched to the tracked bands one point at a time by a Hungarian assignment,
+# windings kept in omega, and the band permutation and 2pi offsets at the
+# seam.  The library takes a coin walk's bands in closed form.
 
 
 def _loop_decompose(walk, M):
-    """(omega, projectors, seam_perm, seam_offset), one grid point at a time."""
+    """(omega, projectors, seam_perm, seam_offset), one grid point at a time.
+
+    Band k continues past p = 2pi as band seam_perm[k] lifted by
+    seam_offset[k], a multiple of 2pi.
+    """
     wrap = spectral._wrap_angle
     ps = 2.0 * np.pi * (np.arange(M) + 0.5) / M
     vals, vecs = np.linalg.eig(walk.unitary_batch(ps))
     phases = np.angle(vals)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     point_projs = np.einsum("jak,jbk->jkab", vecs, np.conj(vecs))
-    d = walk.dim
-    omega = np.empty((d, M))
-    projectors = np.empty((d, M, d, d), dtype=np.complex128)
-    order0 = np.argsort(phases[0])
-    omega[:, 0] = phases[0, order0]
-    projectors[:, 0] = point_projs[0, order0]
+    d = phases.shape[1]
+    # cost[j, r, c] of continuing raw eigenpair r of point j as raw pair c of
+    # the next point (of point 0 across the seam): circular phase distance
+    # plus projector distance, which resolves transversal crossings
+    nxt = np.roll(np.arange(M), -1)
+    cost = np.abs(wrap(phases[:, :, None] - phases[nxt, None, :]))
+    cost += np.sqrt(
+        np.sum(np.abs(point_projs[:, :, None] - point_projs[nxt, None, :]) ** 2, axis=(3, 4))
+    )
+    raw = np.empty((M, d), dtype=np.int64)  # raw[j, k]: band k's eigenpair at point j
+    raw[0] = np.argsort(phases[0])
     for j in range(1, M):
-        cols = _match_bands(omega[:, j - 1], projectors[:, j - 1], phases[j], point_projs[j])
-        omega[:, j] = omega[:, j - 1] + wrap(phases[j, cols] - omega[:, j - 1])
-        projectors[:, j] = point_projs[j, cols]
-    seam_cols = _match_bands(omega[:, -1], projectors[:, -1], phases[0], point_projs[0])
-    seam_perm = np.argsort(order0)[seam_cols]
+        raw[j] = linear_sum_assignment(cost[j - 1][raw[j - 1]])[1]
+    rows = np.arange(M)[:, None]
+    # omega: the raw phase plus 2pi times the band's integer winding
+    tracked = phases[rows, raw]
+    step = np.diff(tracked, axis=0)
+    winding = np.cumsum(np.rint((wrap(step) - step) / (2.0 * np.pi)), axis=0)
+    omega = tracked.T.copy()
+    omega[:, 1:] += 2.0 * np.pi * winding.T
+    projectors = np.swapaxes(point_projs[rows, raw], 0, 1)
+    seam_cols = linear_sum_assignment(cost[-1][raw[-1]])[1]
+    seam_perm = np.argsort(raw[0])[seam_cols]
     cont = omega[:, -1] + wrap(phases[0, seam_cols] - omega[:, -1])
     seam_offset = 2.0 * np.pi * np.round((cont - omega[seam_perm, 0]) / (2.0 * np.pi))
     return omega, projectors, seam_perm, seam_offset
 
 
-def _cyclic_walk(p):
-    """Three bands e^{i(p + 2 pi k)/3}: they wind and permute cyclically at the seam."""
-    return np.array([[0.0, 0.0, np.exp(1j * p)], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+def _fd_derivatives(walk, M):
+    """(velocity, curvature, ||Pi'||) by fourth-order central differences.
 
+    Taken on the loop's bands, padded by two points on each side across the
+    seam with the loop's own seam data.
+    """
+    omega, projectors, perm, offset = _loop_decompose(walk, M)
+    inv = np.argsort(perm)
+    ext_omega = np.concatenate(
+        [omega[inv, -2:] - offset[inv, None], omega, omega[perm, :2] + offset[:, None]], axis=1
+    )
+    ext_proj = np.concatenate([projectors[inv, -2:], projectors, projectors[perm, :2]], axis=1)
+    h = 2.0 * np.pi / M
 
-_ROTATION = np.linalg.qr(
-    np.random.default_rng(7).normal(size=(3, 3))
-    + 1j * np.random.default_rng(8).normal(size=(3, 3))
-)[0]
+    def differences(ext):
+        m2, m1, c, p1, p2 = (ext[:, i : i + M] for i in range(5))
+        d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+        d2 = (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h * h)
+        return d1, d2
 
-
-def _crossing_walk(p):
-    """Three bands p, -p, 2 sin p in a fixed generic basis; they cross transversally."""
-    phases = np.exp(1j * np.array([p, -p, 2.0 * np.sin(p)]))
-    return (_ROTATION * phases) @ np.conj(_ROTATION.T)
-
-
-TRACKED_WALKS = {
-    "hadamard": eig_walk(hadamard_coin()),
-    "generic": eig_walk(GENERIC_COIN),
-    "free_shift": free_shift_walk(),
-    "cyclic3": MomentumWalk(dim=3, unitary_at=_cyclic_walk),
-    "crossing3": MomentumWalk(dim=3, unitary_at=_crossing_walk),
-}
+    velocity, curvature = differences(ext_omega)
+    dproj, _ = differences(ext_proj)
+    return velocity, curvature, np.linalg.svd(dproj, compute_uv=False)[..., 0]
 
 
 @pytest.fixture(scope="module")
@@ -116,27 +116,13 @@ def hadamard_grid():
     return derivatives(decompose(walk, 2**14))
 
 
-@pytest.fixture(scope="module")
-def free_grid():
-    return derivatives(decompose(free_shift_walk(), 512))
-
-
 class TestDecompose:
     def test_grid_validation(self):
+        walk = coin_step_momentum_walk(hadamard_coin())
         with pytest.raises(ValueError):
-            decompose(free_shift_walk(), 32)
+            decompose(walk, 32)
         with pytest.raises(ValueError):
-            decompose(free_shift_walk(), 129)
-
-    def test_free_shift_bands(self, free_grid):
-        # omega = +-p up to labeling; velocities exactly +-1, zero curvature
-        v = np.sort(free_grid.velocity, axis=0)
-        assert np.allclose(v[0], -1.0, atol=1e-9)
-        assert np.allclose(v[1], 1.0, atol=1e-9)
-        assert np.abs(free_grid.curvature).max() < 1e-9
-
-    def test_free_shift_windings(self, free_grid):
-        assert sorted(free_grid.seam_offset / (2 * np.pi)) == [-1.0, 1.0]
+            decompose(walk, 129)
 
     def test_projector_invariants(self, hadamard_grid):
         proj = hadamard_grid.projectors
@@ -163,51 +149,22 @@ class TestDecompose:
     def test_band_continuity(self, hadamard_grid):
         assert np.abs(np.diff(hadamard_grid.omega, axis=1)).max() < np.pi / 4
 
-    def test_degenerate_spectrum_raises(self):
-        grid_const = np.diag([1.0, np.exp(1e-9j)])
-        walk = MomentumWalk(dim=2, unitary_at=lambda p: grid_const)
-        with pytest.raises(DegenerateSpectrum):
-            decompose(walk, 128)
-
-    def test_non_unitary_rejected(self):
-        walk = MomentumWalk(dim=2, unitary_at=lambda p: np.diag([1.0, 0.5]))
+    def test_non_unitary_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            MomentumWalk,
+            "unitary_batch",
+            lambda self, ps: np.tile(np.diag([1.0, 0.5]).astype(complex), (len(ps), 1, 1)),
+        )
+        walk = coin_step_momentum_walk(hadamard_coin())
         with pytest.raises(ValueError):
             decompose(walk, 128)
 
-
-class TestVectorisedTracking:
-    @pytest.mark.parametrize("M", [256, 4096])
-    @pytest.mark.parametrize("name", sorted(TRACKED_WALKS))
-    def test_matches_the_hungarian_loop(self, name, M):
-        walk = TRACKED_WALKS[name]
-        omega, projectors, seam_perm, seam_offset = _loop_decompose(walk, M)
-        sg = decompose(walk, M)
-        assert np.array_equal(sg.projectors, projectors)
-        # the loop re-anchors to the raw phase at every step, within an ulp
-        assert np.abs(sg.omega - omega).max() < 1e-14
-        assert np.array_equal(sg.seam_perm, seam_perm)
-        assert np.array_equal(sg.seam_offset, seam_offset)
-
-    def test_seam_permutation_and_windings(self):
-        sg = decompose(TRACKED_WALKS["cyclic3"], 256)
-        assert sg.seam_perm.tolist() == [1, 2, 0]
-        assert (sg.seam_offset / (2 * np.pi)).tolist() == [0.0, 0.0, 1.0]
-
-    def test_prefix_composition(self):
-        rng = np.random.default_rng(3)
-        maps = np.array([rng.permutation(4) for _ in range(1000)])
-        expected = [maps[0]]
-        for m in maps[1:]:
-            expected.append(m[expected[-1]])
-        assert np.array_equal(spectral._compose_prefix(maps), np.array(expected))
-
-    def test_best_match_is_least_total_cost(self):
-        rng = np.random.default_rng(4)
-        cost = rng.uniform(size=(200, 3, 3))
-        best = spectral._best_matches(cost)
-        for c, perm in zip(cost, best):
-            rows, cols = linear_sum_assignment(c)
-            assert c[rows, perm].sum() == pytest.approx(c[rows, cols].sum(), abs=1e-15)
+    def test_replaced_coin_gives_its_own_bands(self):
+        walk = dataclasses.replace(coin_step_momentum_walk(hadamard_coin()), coin=GENERIC_COIN)
+        sg = decompose(walk, 256)
+        own = decompose(coin_step_momentum_walk(GENERIC_COIN), 256)
+        assert np.array_equal(sg.omega, own.omega)
+        assert np.array_equal(sg.projectors, own.projectors)
 
 
 class TestDerivatives:
@@ -218,28 +175,9 @@ class TestDerivatives:
         )
 
     def test_curvature_richardson_stable(self, hadamard_grid):
-        # derivatives() raises GridTooCoarse if halving shifts sup|omega''|;
-        # reaching here with a filled grid is the check, assert the value too
+        # the curvature is exact, so its grid maximum at M = 2^14 lies just
+        # below the supremum |a| / |b| = 1
         assert np.abs(hadamard_grid.curvature).max() == pytest.approx(1.0, abs=1e-6)
-
-    def test_halving_check_compares_the_same_momenta(self):
-        # the maxima of |omega''| on the full and the half grid fall on
-        # different momenta for this coin: 2.1e-6 apart at M = 2^12, while
-        # the full grid's even indices match the half grid to 4e-10
-        coin = CoinParams(np.sqrt(0.5) * np.exp(0.301j), np.sqrt(0.5), 0.0)
-        sg = derivatives(decompose(eig_walk(coin), 2**12))
-        assert sg.has_derivatives()
-
-    @pytest.mark.parametrize(
-        "coin, M",
-        [
-            (hadamard_coin(), 64),
-            (CoinParams(np.sqrt(0.9) + 0j, np.sqrt(0.1) + 0j, 0.0), 256),
-        ],
-    )
-    def test_coarse_grid_still_raises(self, coin, M):
-        with pytest.raises(GridTooCoarse):
-            derivatives(decompose(eig_walk(coin), M))
 
     def test_proj_deriv_sum(self, hadamard_grid):
         total = hadamard_grid.proj_deriv_norm.max(axis=1).sum()
@@ -259,12 +197,14 @@ class TestClosedForm:
     @settings(max_examples=15, deadline=None)
     @given(coin=coin_strategy)
     def test_matches_the_eig_path(self, coin):
-        closed = decompose(coin_step_momentum_walk(coin), 2**12)
-        tracked = decompose(eig_walk(coin), 2**12)
-        assert np.abs(closed.omega - tracked.omega).max() < 1e-14
-        assert np.abs(closed.projectors - tracked.projectors).max() < 1e-14
-        assert np.array_equal(closed.seam_perm, tracked.seam_perm)
-        assert np.array_equal(closed.seam_offset, tracked.seam_offset)
+        walk = coin_step_momentum_walk(coin)
+        closed = decompose(walk, 2**12)
+        omega, projectors, seam_perm, seam_offset = _loop_decompose(walk, 2**12)
+        assert np.abs(closed.omega - omega).max() < 1e-14
+        assert np.abs(closed.projectors - projectors).max() < 1e-14
+        # both bands are periodic: each continues past 2pi as itself
+        assert seam_perm.tolist() == [0, 1]
+        assert seam_offset.tolist() == [0.0, 0.0]
         hermitian = np.conj(np.swapaxes(closed.projectors, 2, 3))
         assert np.array_equal(closed.projectors, hermitian)
 
@@ -275,13 +215,14 @@ class TestClosedForm:
         # in the velocity: 2.9e-9 at M = 2^12 for |b| = sin 0.15, the edge
         # of the strategy, and 1.8e-10 at M = 2^13.  ||Pi'|| carries one
         # more power of 1 / |b|: 3.4e-9 there at M = 2^13.
-        exact = derivatives(decompose(coin_step_momentum_walk(coin), 2**13))
-        fd = derivatives(decompose(eig_walk(coin), 2**13))
-        assert np.abs(exact.velocity - fd.velocity).max() < 1e-9
-        assert np.abs(exact.curvature - fd.curvature).max() < 1e-6
-        assert np.abs(exact.proj_deriv_norm - fd.proj_deriv_norm).max() < 1e-8
+        walk = coin_step_momentum_walk(coin)
+        exact = derivatives(decompose(walk, 2**13))
+        velocity, curvature, proj_deriv_norm = _fd_derivatives(walk, 2**13)
+        assert np.abs(exact.velocity - velocity).max() < 1e-9
+        assert np.abs(exact.curvature - curvature).max() < 1e-6
+        assert np.abs(exact.proj_deriv_norm - proj_deriv_norm).max() < 1e-8
 
-    @pytest.mark.parametrize("make_walk", [coin_step_momentum_walk, eig_walk], ids=["closed", "eig"])
+    @pytest.mark.parametrize("make_walk", [coin_step_momentum_walk], ids=["closed"])
     def test_nearly_diagonal_coin_is_degenerate(self, make_walk):
         # |b| = 1e-7 and q = p + arg a = 0 at the first grid point, where the
         # bands theta +- alpha are 2e-7 apart
@@ -334,11 +275,6 @@ class TestClosedForm:
 
 
 class TestVelocityCDF:
-    def test_free_shift_unit_step(self, free_grid):
-        F = velocity_cdf(free_grid, InitialState.pure(E1))
-        assert F(1.0 - 1e-6) == pytest.approx(0.0, abs=1e-12)
-        assert F(1.0 + 1e-6) == pytest.approx(1.0, abs=1e-12)
-
     def test_monotone_and_limits(self, hadamard_grid):
         F = velocity_cdf(hadamard_grid, InitialState.pure(E1))
         xs = np.linspace(-1.0, 1.0, 2001)
@@ -407,11 +343,6 @@ class TestCharFunctions:
             1.0, abs=1e-12
         )
 
-    def test_free_shift_phase(self, free_grid):
-        lam = 2.3
-        val = char_fn_limit(free_grid, InitialState.pure(E1), lam)
-        assert val == pytest.approx(np.exp(1j * lam), abs=1e-10)
-
     def test_limit_against_konno_quadrature(self, hadamard_grid):
         kc = konno.KonnoCDF(hadamard_coin(), E1)
         val = char_fn_limit(hadamard_grid, InitialState.pure(E1), 1.0)
@@ -437,38 +368,37 @@ class TestCharFunctions:
 
 
 class TestTriangleBound:
-    def test_zero_lambda(self, hadamard_grid):
-        d = distribution(hadamard_coin(), InitialState.pure(E1), 16)
-        lhs, rhs, ok = check_triangle_bound(hadamard_grid, InitialState.pure(E1), d, 0.0)
-        assert rhs == 0.0 and ok
-        assert lhs < 1e-12  # both characteristic functions are 1 up to roundoff
+    """The battery's triangle bound on the grid of the ``hadamard_grid`` fixture."""
 
-    def test_lattice_invariant(self, hadamard_grid):
-        init = InitialState.pure(E1)
-        ns = [2**k for k in range(4, 11)]
-        snaps = distribution_snapshots(hadamard_coin(), init, ns)
+    @staticmethod
+    def battery(init, lambdas, ns):
+        return harness.run_bound_battery(hadamard_coin(), init, lambdas, ns, char_grid=2**14)
+
+    def test_zero_lambda(self):
+        report = self.battery(InitialState.pure(E1), [0.0], [16])
+        assert report.rhs[0, 0] == 0.0 and report.ok[0, 0]
+        assert report.lhs[0, 0] < 1e-12  # both characteristic functions are 1 up to roundoff
+
+    def test_lattice_invariant(self):
         lams = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
-        for n in ns:
-            for lam in lams:
-                for s in (1.0, -1.0):
-                    lhs, rhs, ok = check_triangle_bound(
-                        hadamard_grid, init, snaps[n], s * lam
-                    )
-                    assert ok, (n, s * lam, lhs, rhs)
+        report = self.battery(
+            InitialState.pure(E1), [s * lam for lam in lams for s in (1.0, -1.0)],
+            [2**k for k in range(4, 11)],
+        )
+        failed = [
+            (report.ns[i], report.lambdas[j], report.lhs[i, j], report.rhs[i, j])
+            for i, j in zip(*np.nonzero(~report.ok))
+        ]
+        assert not failed, failed
 
-    def test_rhs_halves_with_doubled_n(self, hadamard_grid):
-        init = InitialState.pure(E1)
-        d1 = distribution(hadamard_coin(), init, 32)
-        d2 = distribution(hadamard_coin(), init, 64)
-        _, rhs1, _ = check_triangle_bound(hadamard_grid, init, d1, 2.0)
-        _, rhs2, _ = check_triangle_bound(hadamard_grid, init, d2, 2.0)
-        assert rhs2 == pytest.approx(rhs1 / 2, rel=1e-12)
+    def test_rhs_halves_with_doubled_n(self):
+        report = self.battery(InitialState.pure(E1), [2.0], [32, 64])
+        assert report.rhs[1, 0] == pytest.approx(report.rhs[0, 0] / 2, rel=1e-12)
 
     def test_shifted_site_moment_enters(self, hadamard_grid):
         init = InitialState.pure(E1, site=3)
-        d = distribution(hadamard_coin(), init, 128)
-        lhs, rhs, ok = check_triangle_bound(hadamard_grid, init, d, 1.5)
-        assert ok
+        report = self.battery(init, [1.5], [128])
+        assert report.ok[0, 0]
         consts = bound_constants(hadamard_grid, init)
         assert consts.abs_position_moment == 3.0
 
@@ -489,13 +419,48 @@ class TestEvolveMomentum:
 
 
 class TestDump:
-    def test_csv_shape(self, free_grid):
-        csv = free_grid.to_csv()
-        lines = csv.strip().split("\n")
+    def test_csv_shape(self):
+        sg = derivatives(decompose(coin_step_momentum_walk(GENERIC_COIN), 512))
+        lines = sg.to_csv().strip().split("\n")
         assert lines[0] == "p,band,omega,velocity,curvature"
-        assert len(lines) == 1 + 2 * free_grid.grid_size
+        assert len(lines) == 1 + 2 * sg.grid_size
 
     def test_requires_derivatives(self):
-        sg = decompose(free_shift_walk(), 128)
+        sg = decompose(coin_step_momentum_walk(GENERIC_COIN), 128)
         with pytest.raises(ValueError):
             sg.to_csv()
+
+
+class TestBenchmarkProbes:
+    """perfbench/layers.py wraps these functions and its counters read their arguments."""
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+        monkeypatch.syspath_prepend(bench)  # layers.py imports its sibling spans.py
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", os.path.join(bench, "layers.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_probe_target_resolves(self, layers):
+        missing = [f"{m}:{p}" for _, m, p, _ in layers.PROBES if layers._resolve(m, p) is None]
+        assert missing == []
+
+    def test_counters_read_the_parameters(self, layers, hadamard_grid):
+        init = InitialState.pure(E1)
+        dist = distribution(hadamard_coin(), init, 16)
+        calls = {
+            "decompose": ((coin_step_momentum_walk(hadamard_coin()), 64), {"M"}),
+            "char_fn_finite": ((dist, [0.5, 1.0]), {"dist", "lam"}),
+            "char_fn_limit": ((hadamard_grid, init, [0.5, 1.0]), {"sg", "lam"}),
+        }
+        probes = {path: (module, counter) for _, module, path, counter in layers.PROBES}
+        for path, (args, names) in calls.items():
+            module, counter = probes[path]
+            holder, attr = layers._resolve(module, path)
+            sig = inspect.signature(getattr(holder, attr))
+            assert names <= set(sig.parameters), path
+            assert counter(sig.bind(*args).arguments, None), path
