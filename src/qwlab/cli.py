@@ -25,8 +25,8 @@ from .walk import (
     hadamard_coin,
 )
 
-# ``simulate`` and ``wavefront`` refuse a call whose arrays and text would
-# pass this size, before allocating them.
+# ``simulate``, ``rates`` and ``wavefront`` refuse a call whose arrays and
+# text would pass this size, before allocating them.
 MAX_SIMULATE_BYTES = 2**30
 # CSV or JSON text of one site plus the Python objects that build it
 # (tracemalloc peaks of a run at n = 20000: about 110 B a site for CSV and
@@ -65,7 +65,7 @@ def _parse_phi(args) -> np.ndarray:
 
 
 def _parse_n_list(text: str):
-    """Either 'a,b,c' or geometric 'start:stop:xFACTOR'."""
+    """Either 'a,b,c' or geometric 'start:stop:xFACTOR'; every count at least 1."""
     if ":" in text:
         start_s, stop_s, fac_s = text.split(":")
         if not fac_s.startswith("x"):
@@ -79,7 +79,10 @@ def _parse_n_list(text: str):
             out.append(int(round(n)))
             n *= fac
         return out
-    return [int(p) for p in text.split(",")]
+    out = [int(p) for p in text.split(",")]
+    if min(out) < 1:
+        raise ValueError("step counts in --n-list must be at least 1")
+    return out
 
 
 def _emit(text: str, out_path):
@@ -143,6 +146,8 @@ def _cmd_limit(args) -> int:
     coin = _parse_coin(args)
     kc = konno.KonnoCDF(coin, _parse_phi(args))
     count = int(args.grid if args.grid is not None else 1001)
+    if count < 1:
+        raise ValueError(f"--grid must be at least 1, got {count}")
     xs = np.linspace(-1.0, 1.0, count)
     if args.format == "json":
         doc = {
@@ -160,6 +165,7 @@ def _cmd_rates(args) -> int:
     phi = _parse_phi(args)
     init = InitialState.pure(phi)
     n_list = _parse_n_list(args.n_list if args.n_list is not None else "128:8192:x2")
+    _check_size(f"--n-list up to {max(n_list)}", footprint_bytes(init, n_list))
     table = harness.run_rate_sweep(coin, init, n_list)
     slopes = {
         col: harness.fit_slope(table, col).to_dict() for col in table.COLUMNS

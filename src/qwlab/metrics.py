@@ -37,6 +37,11 @@ def _is_step(f) -> bool:
 
 
 _PAIRS_PER_BLOCK = 2**20
+# Entries of one block of a blocked kernel's temporary arrays (512 KiB a
+# float64 array): the characteristic sums and the barycentric interpolant
+# take their rows in blocks of at most this many (row x column) entries, so
+# their scratch memory does not grow with the number of rows.
+_BLOCK_ENTRIES = 2**16
 
 
 def window_sums(start, stop, term) -> np.ndarray:
@@ -410,10 +415,15 @@ def _chebyshev_table(lo: float, hi: float, count: int):
 
 
 def _barycentric(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, xs: np.ndarray):
-    """(interpolant, Lebesgue function) at xs, second barycentric form."""
+    """(interpolant, Lebesgue function) at xs, second barycentric form.
+
+    The (points x nodes) arrays are formed in blocks of grid points of at
+    most _BLOCK_ENTRIES entries (one point when a row is longer); each
+    point's arithmetic does not depend on the block it falls in.
+    """
     out = np.empty(len(xs), dtype=np.complex128)
     lebesgue = np.ones(len(xs))
-    chunk = max(1, int(2**20) // len(nodes))
+    chunk = max(1, _BLOCK_ENTRIES // len(nodes))
     for s in range(0, len(xs), chunk):
         diff = xs[s : s + chunk, None] - nodes[None, :]
         exact = diff == 0.0

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import window_sums
+from .metrics import _BLOCK_ENTRIES, window_sums
 from .walk import CoinParams, InitialState, PositionDistribution
 
 
@@ -380,12 +380,13 @@ def velocity_cdf(sg: SpectralGrid, init: InitialState, refine: int = 16) -> Velo
 def _char_sum(lam, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i e^{i lam x_i} at every lam, as a 1-D array.
 
-    The (lam x terms) phase matrix is formed in chunks of at most 2^22
-    entries.
+    The (lam x terms) phase, cosine and sine arrays are formed in blocks of
+    lam rows of at most _BLOCK_ENTRIES entries (one row when a row is
+    longer), so their memory does not grow with the number of lam.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     out = np.empty(len(lams), dtype=np.complex128)
-    chunk = max(1, int(2**22) // max(len(x), 1))
+    chunk = max(1, _BLOCK_ENTRIES // max(len(x), 1))
     for s in range(0, len(lams), chunk):
         phase = lams[s : s + chunk, None] * x[None, :]
         out[s : s + chunk] = np.cos(phase) @ w + 1j * (np.sin(phase) @ w)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestRateSweepBound:
         assert radii == [1.5, 1.25]
         assert np.all(table.column("levy") <= table.column("zolotarev_bound"))
 
+    def test_sweep_scratch_memory_is_bounded(self):
+        # the characteristic sums and the interpolant work in fixed-size
+        # blocks, so the scratch memory does not grow with the lam grid
+        tracemalloc.start()
+        try:
+            run_rate_sweep(hadamard_coin(), InitialState.pure(E1), [2**k for k in range(7, 14)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestBoundBattery:
     def test_small_battery_all_ok(self):
@@ -208,6 +220,43 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cap" in captured.err
+
+    def test_rates_refuses_oversized_n_list(self, capsys, monkeypatch, tmp_path):
+        from qwlab import cli
+        from qwlab.walk import footprint_bytes
+
+        init = InitialState.pure(E1)
+        need = footprint_bytes(init, [128, 8192])
+        monkeypatch.setattr(cli, "MAX_SIMULATE_BYTES", need - 1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the size check must come before the sweep")
+
+        monkeypatch.setattr(harness, "run_rate_sweep", never)
+        out_path = tmp_path / "rates.csv"
+        assert cli_main(["rates", "--n-list", "128:8192:x2", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["rates", "bounds", "wavefront", "oscsum"])
+    def test_nonpositive_step_count_exits_2(self, command, count, capsys, tmp_path):
+        out_path = tmp_path / "out.txt"
+        assert cli_main([command, "--n-list", count, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_limit_refuses_empty_grid(self, grid, capsys, tmp_path):
+        out_path = tmp_path / "limit.csv"
+        assert cli_main(["limit", "--grid", grid, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --grid must be at least 1, got {grid}\n"
+        assert not out_path.exists()
 
     def test_limit_table(self, capsys):
         code = cli_main(["limit", "--preset", "hadamard", "--phi", "1,0,0,0", "--grid", "7"])

@@ -459,6 +459,31 @@ class TestInterpolatedZolotarevBound:
             assert np.max(np.abs(values - cubic(xs))) < 1e-13
             assert np.all(leb >= 1.0 - 1e-12) and leb.max() < 2 / np.pi * np.log(count) + 1.01
 
+    @pytest.mark.parametrize(
+        "grid, count",
+        [(metrics._SMALL_GRID, 13), (metrics._LARGE_GRID, 378), (metrics._LARGE_GRID, 1500)],
+    )
+    def test_blocked_barycentric_matches_one_block(self, grid, count):
+        lo, hi = float(grid[0]), float(grid[-1])
+        nodes, weights = metrics._chebyshev_table(lo, hi, count)
+        values = np.exp(1j * nodes) / (1.0 + nodes)
+        # node hits in the first and in later blocks
+        xs = np.concatenate([nodes[:3], grid, nodes[::7]])
+        got, leb = metrics._barycentric(nodes, weights, values, xs)
+
+        diff = xs[:, None] - nodes[None, :]
+        exact = diff == 0.0
+        c = weights / np.where(exact, 1.0, diff)
+        total = c.sum(axis=1)
+        want = (c @ values) / total
+        want_leb = np.abs(c).sum(axis=1) / np.abs(total)
+        hit = exact.any(axis=1)
+        assert np.max(np.abs(got - want)[~hit]) <= 1e-15 * np.max(np.abs(want[~hit]))
+        assert np.all(np.abs(leb - want_leb)[~hit] <= 1e-15 * want_leb[~hit])
+        index = np.searchsorted(nodes, xs[hit])
+        assert np.array_equal(got[hit], values[index])
+        assert np.all(leb[hit] == 1.0)
+
     def test_pruned_grid_gives_the_full_grid_supremum(self):
         assert metrics._LARGE_GRID.max() <= 600.0 and len(metrics._LARGE_GRID) == 1111
         coin = hadamard_coin()

@@ -367,6 +367,37 @@ class TestCharFunctions:
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
+def _single_block_char_sum(lams, x, w):
+    """sum_i w_i e^{i lam x_i} with all lam rows in one block.
+
+    Above 2^22 entries (32 MiB an array) the rows go in blocks of that size,
+    still of another height than the kernel's.
+    """
+    out = np.empty(len(lams), dtype=np.complex128)
+    rows = max(1, 2**22 // len(x))
+    for s in range(0, len(lams), rows):
+        phase = lams[s : s + rows, None] * x[None, :]
+        out[s : s + rows] = np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
+    return out
+
+
+class TestBlockedCharSum:
+    # 2^16 + 1 terms make a row longer than a block; 13 such rows already
+    # go one to a block, 378 would add 3 s and nothing else
+    @pytest.mark.parametrize(
+        "terms, count",
+        [(t, c) for t in (1, 100, 4097, 2**16 + 1) for c in (1, 13, 378) if t * c < 2**24],
+    )
+    def test_matches_single_block_sum(self, terms, count):
+        rng = np.random.default_rng(terms * 1000 + count)
+        x = rng.uniform(-1.0, 1.0, terms)
+        w = rng.normal(size=terms)
+        lams = rng.uniform(-600.0, 600.0, count)
+        got = spectral._char_sum(lams, x, w)
+        want = _single_block_char_sum(lams, x, w)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(w))
+
+
 class TestTriangleBound:
     """The battery's triangle bound on the grid of the ``hadamard_grid`` fixture."""
 
