@@ -368,17 +368,9 @@ class TestCharFunctions:
 
 
 def _single_block_char_sum(lams, x, w):
-    """sum_i w_i e^{i lam x_i} with all lam rows in one block.
-
-    Above 2^22 entries (32 MiB an array) the rows go in blocks of that size,
-    still of another height than the kernel's.
-    """
-    out = np.empty(len(lams), dtype=np.complex128)
-    rows = max(1, 2**22 // len(x))
-    for s in range(0, len(lams), rows):
-        phase = lams[s : s + rows, None] * x[None, :]
-        out[s : s + rows] = np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
-    return out
+    """sum_i w_i e^{i lam x_i} with all lam rows in one block."""
+    phase = lams[:, None] * x[None, :]
+    return np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
 
 
 class TestBlockedCharSum:
